@@ -377,16 +377,14 @@ def _completion_tables(n: int, k: int) -> list[list[list[int]]]:
     return tables
 
 
-def _lookup(tab: list[list[int]], m: int, b: int) -> int:
-    return tab[m][min(b, m)]
-
-
 def unrank_multipartition(n: int, k: int, index: int) -> MultiPartition:
     """The index-th k-multipartition of n in canonical order (0-based)."""
-    total = count_multipartitions(n, k)
+    if n < 0 or k < 1:
+        raise ValueError("need n >= 0 and k >= 1")
+    tables = _completion_tables(n, k)
+    total = tables[k - 1][n][n]  # p_k(n)
     if not 0 <= index < total:
         raise IndexError(f"index {index} out of range [0, {total})")
-    tables = _completion_tables(n, k)
     comps = []
     m = n
     for c in range(k):
@@ -401,7 +399,7 @@ def unrank_multipartition(n: int, k: int, index: int) -> MultiPartition:
             if s == 0:
                 index = row[0] - 1 - r
                 break
-            block = _lookup(tab, m - s, s)
+            block = tab[m - s][min(s, m - s)]
             index = block - 1 - (r - row[s - 1])
             parts.append(s)
             m -= s
@@ -420,8 +418,8 @@ def rank_multipartition(mp: MultiPartition) -> int:
         tab = tables[k - 1 - c]
         b = m
         for s in comp.parts:
-            index += _lookup(tab, m, b) - _lookup(tab, m, s)
+            index += tab[m][min(b, m)] - tab[m][min(s, m)]
             m -= s
             b = s
-        index += _lookup(tab, m, b) - tab[m][0]
+        index += tab[m][min(b, m)] - tab[m][0]
     return index

@@ -15,6 +15,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from statistics import NormalDist
 from typing import Optional
 
@@ -209,15 +210,32 @@ def _draw_pair(n: int, k: int, total: int, seed: int, index: int):
     return lam, mu
 
 
-def _sampled_chunk(args) -> int:
-    group, n, p, seed, start, stop = args
-    total = count_multipartitions(n, group.k)
-    hits = 0
-    for i in range(start, stop):
-        lam, mu = _draw_pair(n, group.k, total, seed, i)
-        if mn_character(group, lam, mu) % p == 0:
-            hits += 1
-    return hits
+def _divisible(group: GroupData, p: int, lam: MultiPartition, mu: MultiPartition) -> bool:
+    return mn_character(group, lam, mu) % p == 0
+
+
+def _certified(p: int, lam: MultiPartition, mu: MultiPartition) -> bool:
+    return zero_certificate(lam, mash_canonical(mu, p))
+
+
+def _count_hits(draw, test, indices: range) -> int:
+    return sum(1 for i in indices if test(*draw(i)))
+
+
+def _census_hits(draw, test, samples: int, workers: int = 1) -> int:
+    """Number of indices i < samples with test(*draw(i)), the one sample loop
+    of every sampled census.  draw(i) depends only on i, so the count is the
+    same for any worker count; draw and test must pickle for workers > 1."""
+    if workers <= 1:
+        return _count_hits(draw, test, range(samples))
+    chunks = [range(a, b) for a, b in _chunk_bounds(samples, workers)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(partial(_count_hits, draw, test), chunks))
+
+
+def _check_confidence(confidence: float) -> None:
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
 
 
 def sampled_census(
@@ -228,38 +246,21 @@ def sampled_census(
     seed: int,
     workers: int = 1,
     confidence: float = DEFAULT_CONFIDENCE,
-    value_cache: Optional[dict] = None,
 ) -> CensusReport:
     """Uniform (lambda, mu) pairs, exact evaluation mod p, Wilson interval.
 
-    value_cache (optional, single-process only) maps (lambda, mu) tuple pairs
-    to already-computed exact values and is filled as a side effect; it only
-    avoids recomputation and cannot change the report.
+    Sample i is drawn from the stream keyed by (seed, i), so the report is
+    fixed by the seed whatever the worker count.
     """
     require_prime(p)
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    _check_confidence(confidence)
     total = count_multipartitions(n, group.k)
     _completion_tables(n, group.k)  # built before any fork, shared by workers
-    if workers > 1:
-        bounds = _chunk_bounds(samples, workers)
-        jobs = [(group, n, p, seed, a, b) for a, b in bounds]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(_sampled_chunk, jobs))
-    else:
-        hits = 0
-        for i in range(samples):
-            lam, mu = _draw_pair(n, group.k, total, seed, i)
-            if value_cache is None:
-                value = mn_character(group, lam, mu)
-            else:
-                key = (lam.as_tuples(), mu.as_tuples())
-                value = value_cache.get(key)
-                if value is None:
-                    value = mn_character(group, lam, mu)
-                    value_cache[key] = value
-            if value % p == 0:
-                hits += 1
+    hits = _census_hits(
+        partial(_draw_pair, n, group.k, total, seed), partial(_divisible, group, p), samples, workers
+    )
     low, high = wilson_interval(hits, samples, confidence)
     return CensusReport(
         mode="sampled",
@@ -274,17 +275,6 @@ def sampled_census(
         ci_high=high,
         seed=seed,
     )
-
-
-def _certificate_chunk(args) -> int:
-    k, n, p, seed, start, stop = args
-    total = count_multipartitions(n, k)
-    hits = 0
-    for i in range(start, stop):
-        lam, mu = _draw_pair(n, k, total, seed, i)
-        if zero_certificate(lam, mash_canonical(mu, p)):
-            hits += 1
-    return hits
 
 
 def certificate_census(
@@ -303,14 +293,9 @@ def certificate_census(
         raise ValueError("group_k must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    total = count_multipartitions(n, group_k)
     _completion_tables(n, group_k)
-    if workers > 1:
-        bounds = _chunk_bounds(samples, workers)
-        jobs = [(group_k, n, p, seed, a, b) for a, b in bounds]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(_certificate_chunk, jobs))
-    else:
-        hits = _certificate_chunk((group_k, n, p, seed, 0, samples))
+    hits = _census_hits(partial(_draw_pair, n, group_k, total, seed), partial(_certified, p), samples, workers)
     frac = Fraction(hits, samples)
     return CensusReport(
         mode="certificate",

@@ -14,20 +14,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .base_group import builtin
 from .congruence import require_prime
 from .partitions import (
     MultiPartition,
-    _completion_tables,
     count_multipartitions,
     count_partitions,
     multipartitions_of,
     unrank_multipartition,
 )
-from .stats import CensusReport, CounterStream, wilson_interval, DEFAULT_CONFIDENCE
-from .wreath_chars import DEFAULT_CELL_BUDGET, CellBudgetExceeded, character_column, mn_character
+from .stats import DEFAULT_CONFIDENCE, CensusReport, CounterStream, wilson_interval
+from .stats import _census_hits, _check_confidence, _divisible
+from .wreath_chars import DEFAULT_CELL_BUDGET, CellBudgetExceeded, character_column
 
 
 def bn_class_in_dn(mu: MultiPartition) -> bool:
@@ -62,7 +62,8 @@ def dn_irrep_census(n: int) -> DnIrrepCensus:
         raise ValueError("n must be >= 1")
     p2 = count_multipartitions(n, 2)
     if n % 2:
-        assert p2 % 2 == 0
+        if p2 % 2:  # swapping the two components pairs off every label
+            raise ArithmeticError(f"p_2({n}) = {p2} is odd for odd n")
         return DnIrrepCensus(nonsplit=p2 // 2, split_halves=0)
     diag = count_partitions(n // 2)
     return DnIrrepCensus(nonsplit=(p2 - diag) // 2, split_halves=2 * diag)
@@ -105,6 +106,20 @@ def nonsplit_rows(n: int) -> list[tuple[tuple[int, ...], ...]]:
         if mp < swapped:
             rows.append(mp)
     return rows
+
+
+def _draw_dn_cell(n: int, total: int, seed: int, index: int):
+    """Sample index of the sampled D_N census: a nonsplit row and a D_N column."""
+    stream = CounterStream(seed, index)
+    while True:  # ordered pair, diagonal rejected: uniform on unordered pairs
+        lam = unrank_multipartition(n, 2, stream.below(total))
+        if lam.components[0] != lam.components[1]:
+            break
+    while True:  # uniform over B_N classes inside D_N
+        mu = unrank_multipartition(n, 2, stream.below(total))
+        if bn_class_in_dn(mu):
+            break
+    return lam, mu
 
 
 def dn_restricted_census(
@@ -155,21 +170,9 @@ def dn_restricted_census(
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     if samples is None or seed is None:
         raise ValueError("sampled mode needs samples and seed")
+    _check_confidence(confidence)
     total = count_multipartitions(n, 2)
-    _completion_tables(n, 2)
-    hits = 0
-    for i in range(samples):
-        stream = CounterStream(seed, i)
-        while True:  # ordered pair, diagonal rejected: uniform on unordered pairs
-            lam = unrank_multipartition(n, 2, stream.below(total))
-            if lam.components[0] != lam.components[1]:
-                break
-        while True:  # uniform over B_N classes inside D_N
-            mu = unrank_multipartition(n, 2, stream.below(total))
-            if bn_class_in_dn(mu):
-                break
-        if mn_character(group, lam, mu) % p == 0:
-            hits += 1
+    hits = _census_hits(partial(_draw_dn_cell, n, total, seed), partial(_divisible, group, p), samples)
     low, high = wilson_interval(hits, samples, confidence)
     return CensusReport(
         mode="dn-sampled",

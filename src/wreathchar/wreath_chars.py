@@ -70,7 +70,8 @@ def class_size(group: GroupData, mu: MultiPartition) -> int:
         for length, m in Counter(comp.parts).items():
             denom *= (length * z) ** m * factorial(m)
     num = group.order**n * factorial(n)
-    assert num % denom == 0
+    if num % denom:
+        raise ValueError(f"class {mu} has non-integral size {num}/{denom}: bad centralizer orders")
     return num // denom
 
 
@@ -102,16 +103,20 @@ def _mn_rec(lam, pos, seq, table, k, memo):
     return total
 
 
-def mn_character(group: GroupData, lam: MultiPartition, mu: MultiPartition, _memo=None) -> int:
+# Sampled censuses ask for the same cell many times (criterion 6 draws a
+# million cells from 34,225); the bound keeps long-lived processes small.
+@lru_cache(maxsize=1 << 16)
+def _mn_value(table, lam, mu) -> int:
+    return _mn_rec(lam, 0, flatten_class(mu), table, len(lam), {})
+
+
+def mn_character(group: GroupData, lam: MultiPartition, mu: MultiPartition) -> int:
     """Exact irreducible character value chi^lambda_mu via rimhook peeling.
 
-    _memo keys on (remaining lambda, position in the flattened mu sequence),
-    so it may be shared across calls with the same group and mu.
+    Values are memoized per (group table, lambda, mu) in a bounded LRU memo.
     """
     _check_query(group, lam, mu)
-    seq = flatten_class(mu.as_tuples())
-    memo = {} if _memo is None else _memo
-    return _mn_rec(lam.as_tuples(), 0, seq, group.table, group.k, memo)
+    return _mn_value(group.table, lam.as_tuples(), mu.as_tuples())
 
 
 def character_column(group: GroupData, n: int, mu_tuples) -> dict:

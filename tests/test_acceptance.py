@@ -220,10 +220,9 @@ def test_criterion_05_divisibility_trend():
 
 def test_criterion_06_sampling_consistency():
     exact = float(exact_census(Z2, 8, 2).proportion)
-    cache = {}
     hits = 0
     for seed in range(100):
-        r = sampled_census(Z2, 8, 2, samples=10_000, seed=seed, value_cache=cache)
+        r = sampled_census(Z2, 8, 2, samples=10_000, seed=seed)
         if r.ci_low <= exact <= r.ci_high:
             hits += 1
     _report(6, hits >= 95, f"exact proportion inside 99% CI for {hits}/100 seeds (need >= 95)")

@@ -166,6 +166,20 @@ class TestCensuses:
         assert doc["mode"] == "dn-exact"
         assert doc["coverage"] is not None
 
+    @pytest.mark.parametrize("confidence", ["0", "1", "1.5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample-census", "--group", "Z2", "--n", "24", "--p", "2", "--samples", "10000", "--seed", "1"),
+            ("dn-census", "--n", "20", "--p", "3", "--mode", "sampled", "--samples", "10000", "--seed", "1"),
+        ],
+    )
+    def test_bad_confidence_exits_2_before_sampling(self, capsys, argv, confidence):
+        code, out, err = run(capsys, *argv, "--confidence", confidence)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: confidence must be in (0, 1), got {float(confidence)}\n"
+
     def test_csv_has_frozen_columns(self, capsys):
         code, out, _ = run(
             capsys, "census", "--group", "Z2", "--n", "2", "--p", "2", "--format", "csv"

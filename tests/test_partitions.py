@@ -15,6 +15,7 @@ from wreathchar.partitions import (
     remove_rimhooks,
     syt_count,
     unrank_multipartition,
+    _completion_tables,
     _count_array,
     _partition_tuples,
 )
@@ -306,6 +307,16 @@ class TestUnranking:
             unrank_multipartition(2, 2, 5)
         with pytest.raises(IndexError):
             unrank_multipartition(2, 2, -1)
+        with pytest.raises(ValueError):
+            unrank_multipartition(-1, 2, 0)
+        with pytest.raises(ValueError):
+            unrank_multipartition(3, 0, 0)
+
+    def test_tables_corner_is_count(self):
+        # unranking reads p_k(n) off the completion tables instead of recounting
+        for k in (1, 2, 3):
+            for n in range(40):
+                assert _completion_tables(n, k)[k - 1][n][n] == count_multipartitions(n, k)
 
     def test_set_equality_8_2(self):
         total = count_multipartitions(8, 2)

@@ -19,6 +19,7 @@ from wreathchar.stats import (
     sampled_census,
     wilson_interval,
 )
+from wreathchar.weyl_d import dn_restricted_census
 
 Z2 = builtin("Z2")
 TRIVIAL = builtin("trivial")
@@ -139,13 +140,6 @@ class TestSampledCensus:
         r = sampled_census(Z2, 8, 2, samples=10_000, seed=1)
         assert r.ci_low <= exact <= r.ci_high
 
-    def test_value_cache_neutral(self):
-        cache = {}
-        a = sampled_census(Z2, 8, 2, samples=200, seed=5, value_cache=cache)
-        b = sampled_census(Z2, 8, 2, samples=200, seed=5)
-        assert a == b
-        assert cache
-
 
 class TestCertificateCensus:
     def test_n1_coverage_zero(self):
@@ -184,6 +178,21 @@ class TestCertificateCensus:
                     certified += sum(1 for lam in labels if zero_certificate(lam, mashed))
                 fraction = Fraction(certified, len(labels) ** 2)
                 assert fraction <= exact_census(Z2, n, p).proportion
+
+
+class TestPinnedSamples:
+    """Divisible counts measured before the sample loops were merged into one
+    driver; a change to the draws or to the per-sample tests shows here."""
+
+    def test_pinned_counts(self):
+        assert dn_restricted_census(20, 3, mode="sampled", samples=300, seed=1).divisible_count == 204
+        assert sampled_census(builtin("S3"), 6, 2, 300, 7).divisible_count == 214
+        assert certificate_census(3, 40, 3, 300, 7).divisible_count == 78
+
+    def test_worker_count_invariant(self):
+        S3 = builtin("S3")
+        assert sampled_census(S3, 6, 2, 300, 7, workers=2) == sampled_census(S3, 6, 2, 300, 7, workers=1)
+        assert certificate_census(3, 40, 3, 300, 7, workers=2) == certificate_census(3, 40, 3, 300, 7, workers=1)
 
 
 class TestAsymptotics:

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from wreathchar.base_group import builtin
+from wreathchar.base_group import GroupData, builtin
 from wreathchar.partitions import MultiPartition, Partition, count_multipartitions, multipartitions_of
 from wreathchar.wreath_chars import (
     CellBudgetExceeded,
@@ -50,6 +50,19 @@ class TestClassSizes:
             for n in range(0, 5):
                 total = sum(class_size(g, mu) for mu in mps(n, g.k))
                 assert total == g.order**n * factorial(n)
+
+    def test_inexact_division_raises(self):
+        # unvalidated data: centralizer order 3 does not divide |G| = 2
+        bad = GroupData(
+            name="bad",
+            class_labels=("1", "a"),
+            centralizer_orders=(2, 3),
+            identity_class=0,
+            trivial_char=0,
+            table=((1, 1), (1, -1)),
+        )
+        with pytest.raises(ValueError, match="non-integral"):
+            class_size(bad, MultiPartition([[], [1]]))
 
 
 class TestMnCharacter:
