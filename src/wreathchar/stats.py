@@ -6,6 +6,11 @@ stream for sample i is keyed by (seed, i), so results are independent of
 worker count and evaluation order.  Sampled and certificate censuses draw
 identical (lambda, mu) streams for equal (n, seed), which makes seed-paired
 soundness comparisons exact.
+
+A sampled cell (lambda, mu) is decided at mash_canonical(mu, p) rather than
+at the drawn mu: trading p equal parts m for one part pm leaves every
+character value unchanged mod p (G has an integer table), so both labels
+give the same verdict and the canonical one has the fewest parts to peel.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .partitions import (
     count_multipartitions,
     unrank_multipartition,
 )
-from .wreath_chars import DEFAULT_CELL_BUDGET, character_table, mn_character
+from .wreath_chars import DEFAULT_CELL_BUDGET, _check_workers, character_table, mn_character
 
 HR_COEFF = 2.0 * math.pi / math.sqrt(6.0)
 DEFAULT_CONFIDENCE = 0.99
@@ -70,7 +75,10 @@ class CounterStream:
 
 def random_multipartition(n: int, k: int, stream: CounterStream) -> MultiPartition:
     """Exactly uniform k-multipartition of n: a uniform rank, unranked."""
-    return unrank_multipartition(n, k, stream.below(count_multipartitions(n, k)))
+    if n < 0 or k < 1:
+        raise ValueError("need n >= 0 and k >= 1")
+    total = _completion_tables(n, k)[k - 1][n][n]  # p_k(n), read as unranking reads it
+    return unrank_multipartition(n, k, stream.below(total))
 
 
 def wilson_interval(hits: int, trials: int, confidence: float) -> tuple[float, float]:
@@ -211,7 +219,9 @@ def _draw_pair(n: int, k: int, total: int, seed: int, index: int):
 
 
 def _divisible(group: GroupData, p: int, lam: MultiPartition, mu: MultiPartition) -> bool:
-    return mn_character(group, lam, mu) % p == 0
+    # chi^lam is constant mod p on a mashing class, so the cell is decided at
+    # the canonical label, the one with the fewest parts to peel
+    return mn_character(group, lam, mash_canonical(mu, p).canonical) % p == 0
 
 
 def _certified(p: int, lam: MultiPartition, mu: MultiPartition) -> bool:
@@ -226,7 +236,8 @@ def _census_hits(draw, test, samples: int, workers: int = 1) -> int:
     """Number of indices i < samples with test(*draw(i)), the one sample loop
     of every sampled census.  draw(i) depends only on i, so the count is the
     same for any worker count; draw and test must pickle for workers > 1."""
-    if workers <= 1:
+    _check_workers(workers)
+    if workers == 1:
         return _count_hits(draw, test, range(samples))
     chunks = [range(a, b) for a, b in _chunk_bounds(samples, workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -12,12 +12,13 @@ the full D_N table, whose column count equals the total irrep count)."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
 from .base_group import builtin
-from .congruence import require_prime
+from .congruence import mash_canonical, require_prime
 from .partitions import (
     MultiPartition,
     count_multipartitions,
@@ -133,9 +134,13 @@ def dn_restricted_census(
 ) -> CensusReport:
     """Divisibility census over the determined D_N sub-table.
 
-    exact: every (nonsplit row, D_N column) cell via the column recursion.
-    sampled: uniform cells, rows by rejection on ordered pairs (reject the
-    diagonal), columns by rejection on psi = 1; needs samples and seed.
+    exact: every (nonsplit row, D_N column) cell via the column recursion,
+    one column per mod-p canonical label weighted by the D_N columns that
+    mash to it.  sampled: uniform cells, rows by rejection on ordered pairs
+    (reject the diagonal), columns by rejection on psi = 1, each cell
+    decided at its canonical label; needs samples and seed.  At p = 2 a
+    canonical label can fall outside D_N; its B_N values are still
+    congruent to those of the D_N column, which is all the census reads.
     """
     require_prime(p)
     group = builtin("Z2")
@@ -144,18 +149,19 @@ def dn_restricted_census(
     coverage = Fraction(census.nonsplit * len(dn_cols), census.total * census.total)
     if mode == "exact":
         rows = nonsplit_rows(n)
-        if len(rows) * len(dn_cols) > cell_budget:
-            raise CellBudgetExceeded(
-                f"sub-table needs {len(rows) * len(dn_cols)} cells, budget is {cell_budget}"
-            )
+        cells = len(rows) * len(dn_cols)
+        if cells > cell_budget:
+            raise CellBudgetExceeded(f"sub-table needs {cells} cells, budget is {cell_budget}")
+        # D_N columns with one canonical label are congruent mod p, so each
+        # canonical column is computed once and its row hits counted once per
+        # D_N column mapping to it
+        weights = Counter(
+            mash_canonical(MultiPartition.from_tuples(mu), p).canonical.as_tuples() for mu in dn_cols
+        )
         hits = 0
-        cells = 0
-        for mu in dn_cols:
-            col = character_column(group, n, mu)
-            for lam in rows:
-                cells += 1
-                if col.get(lam, 0) % p == 0:
-                    hits += 1
+        for canon, weight in weights.items():
+            col = character_column(group, n, canon)
+            hits += weight * sum(1 for lam in rows if col.get(lam, 0) % p == 0)
         return CensusReport(
             mode="dn-exact",
             group="D",
@@ -170,6 +176,8 @@ def dn_restricted_census(
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     if samples is None or seed is None:
         raise ValueError("sampled mode needs samples and seed")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     _check_confidence(confidence)
     total = count_multipartitions(n, 2)
     hits = _census_hits(partial(_draw_dn_cell, n, total, seed), partial(_divisible, group, p), samples)

@@ -39,6 +39,11 @@ class CellBudgetExceeded(RuntimeError):
     """Raised when a full-table request would exceed the configured cell budget."""
 
 
+def _check_workers(workers: int):
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
 def _check_query(group: GroupData, lam: MultiPartition, mu: MultiPartition):
     if lam.k != group.k or mu.k != group.k:
         raise ValueError(f"multipartitions must have k={group.k} components")
@@ -104,7 +109,8 @@ def _mn_rec(lam, pos, seq, table, k, memo):
 
 
 # Sampled censuses ask for the same cell many times (criterion 6 draws a
-# million cells from 34,225); the bound keeps long-lived processes small.
+# million cells from 34,225, and asks at canonical labels only); the bound
+# keeps long-lived processes small.
 @lru_cache(maxsize=1 << 16)
 def _mn_value(table, lam, mu) -> int:
     return _mn_rec(lam, 0, flatten_class(mu), table, len(lam), {})
@@ -332,6 +338,7 @@ def character_table(
     regardless of worker schedule); refuses when the cell count exceeds budget."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    _check_workers(workers)
     size = count_multipartitions(n, group.k)
     if size * size > cell_budget:
         raise CellBudgetExceeded(

@@ -3,7 +3,9 @@
 Everything here is deliberately naive: cell-set reasoning for border strips,
 unmemoized recursion for characters, exhaustive assignment enumeration for
 row decompositions, backtracking for tableaux.  None of it shares code with
-the package internals beyond plain tuples.
+the package internals beyond plain tuples, except ``unreduced_dn_census``,
+which checks a reduction of the type-D census rather than the character
+engine and so reads its columns from that engine.
 """
 
 from __future__ import annotations
@@ -220,3 +222,26 @@ def multinomial(ns):
     for a in ns:
         out //= factorial(a)
     return out
+
+
+def unreduced_dn_census(n, primes):
+    """Type-D exact census without the canonical-class reduction: one
+    ``character_column`` per D_N column, every (nonsplit row, D_N column)
+    cell read.  Returns ({p: divisible cells}, cells)."""
+    from wreathchar.base_group import builtin
+    from wreathchar.partitions import multipartitions_of
+    from wreathchar.wreath_chars import character_column
+
+    labels = multipartitions_of(n, 2)
+    rows = [t for t in labels if t < (t[1], t[0])]  # one of each pair {lam, mu}, lam != mu
+    cols = [t for t in labels if len(t[1]) % 2 == 0]  # psi = 1
+    hits = dict.fromkeys(primes, 0)
+    z2 = builtin("Z2")
+    for mu in cols:
+        col = character_column(z2, n, mu)
+        for lam in rows:
+            value = col.get(lam, 0)
+            for p in primes:
+                if value % p == 0:
+                    hits[p] += 1
+    return hits, len(rows) * len(cols)

@@ -180,6 +180,32 @@ class TestCensuses:
         assert out == ""
         assert err == f"error: confidence must be in (0, 1), got {float(confidence)}\n"
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_dn_sampled_bad_samples_exits_2(self, capsys, samples):
+        code, out, err = run(
+            capsys, "dn-census", "--n", "20", "--p", "3", "--mode", "sampled", "--samples", samples,
+            "--seed", "1",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: samples must be >= 1\n"
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "--group", "Z2", "--n", "3"),
+            ("census", "--group", "Z2", "--n", "3", "--p", "2"),
+            ("sample-census", "--group", "Z2", "--n", "8", "--p", "2", "--samples", "50", "--seed", "1"),
+            ("cert-census", "--k", "2", "--n", "60", "--p", "2", "--samples", "50", "--seed", "1"),
+        ],
+    )
+    def test_bad_workers_exits_2(self, capsys, argv, workers):
+        code, out, err = run(capsys, *argv, "--workers", workers)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: workers must be >= 1, got {workers}\n"
+
     def test_csv_has_frozen_columns(self, capsys):
         code, out, _ = run(
             capsys, "census", "--group", "Z2", "--n", "2", "--p", "2", "--format", "csv"

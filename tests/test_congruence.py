@@ -1,6 +1,6 @@
 import pytest
 
-from wreathchar.base_group import builtin
+from wreathchar.base_group import BUILTIN_NAMES, builtin
 from wreathchar.congruence import (
     is_prime,
     mash_canonical,
@@ -164,6 +164,30 @@ class TestColumnCongruence:
                             for lam in labels:
                                 diff = perm_character(g, lam, mu_mp) - perm_character(g, lam, nu_mp)
                                 assert diff % p == 0
+
+
+class TestCanonicalCellCongruence:
+    """chi(lam, mu) = chi(lam, canon_p(mu)) mod p cell by cell, for every
+    builtin: the sampled and type-D censuses decide cells at canon_p(mu)."""
+
+    SIZES = {"trivial": 10, "Z2": 7, "S3": 5, "Z2xZ2": 4, "S4": 4, "D8": 4, "Q8": 4}
+
+    def test_sizes_cover_every_builtin(self):
+        assert set(self.SIZES) == set(BUILTIN_NAMES)
+
+    @pytest.mark.parametrize("name", sorted(SIZES))
+    def test_every_cell_congruent_to_canonical(self, name):
+        g = builtin(name)
+        for n in range(1, self.SIZES[name] + 1):
+            table = character_table(g, n)
+            index = {m: i for i, m in enumerate(table.col_labels)}
+            for p in (2, 3, 5):
+                for c, mu in enumerate(table.col_labels):
+                    cc = index[mash_canonical(mu, p).canonical]
+                    if cc == c:
+                        continue
+                    for row in table.values:
+                        assert (row[c] - row[cc]) % p == 0, (name, n, p, mu)
 
 
 class TestZeroCertificate:

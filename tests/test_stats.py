@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from wreathchar.base_group import builtin
-from wreathchar.partitions import count_multipartitions, count_partitions
+from wreathchar.partitions import count_multipartitions, count_partitions, unrank_multipartition
 from wreathchar.stats import (
     CSV_COLUMNS,
     CensusReport,
@@ -73,6 +73,21 @@ class TestRandomMultipartition:
         a = [random_multipartition(9, 2, CounterStream(77, i)) for i in range(20)]
         b = [random_multipartition(9, 2, CounterStream(77, i)) for i in range(20)]
         assert a == b
+
+    def test_same_draws_as_recounting(self):
+        # p_k(n) comes off the completion tables; the draws match a recount
+        for k in (1, 2, 3):
+            for n in range(40):
+                for i in range(3):
+                    got = random_multipartition(n, k, CounterStream(5, i))
+                    want = unrank_multipartition(n, k, CounterStream(5, i).below(count_multipartitions(n, k)))
+                    assert got == want
+
+    def test_rejects_bad_sizes(self):
+        with pytest.raises(ValueError):
+            random_multipartition(-1, 2, CounterStream(1, 0))
+        with pytest.raises(ValueError):
+            random_multipartition(3, 0, CounterStream(1, 0))
 
 
 class TestWilson:
@@ -188,6 +203,11 @@ class TestPinnedSamples:
         assert dn_restricted_census(20, 3, mode="sampled", samples=300, seed=1).divisible_count == 204
         assert sampled_census(builtin("S3"), 6, 2, 300, 7).divisible_count == 214
         assert certificate_census(3, 40, 3, 300, 7).divisible_count == 78
+
+    def test_pinned_benchmark_answers(self):
+        # the seed-1 answers the benchmark's sampled-census and dn-sampled gates pin
+        assert sampled_census(Z2, 24, 2, 1000, seed=1).divisible_count == 903
+        assert dn_restricted_census(20, 3, "sampled", 2000, 1).divisible_count == 1359
 
     def test_worker_count_invariant(self):
         S3 = builtin("S3")

@@ -148,6 +148,14 @@ class TestRestrictedCensus:
         with pytest.raises(ValueError):
             dn_restricted_census(6, 2, mode="sampled")
 
+    def test_exact_matches_unreduced_census(self):
+        primes = (2, 3, 5)
+        for n in range(1, 13):
+            hits, cells = oracles.unreduced_dn_census(n, primes)
+            for p in primes:
+                r = dn_restricted_census(n, p, mode="exact")
+                assert (r.divisible_count, r.cells_evaluated) == (hits[p], cells), (n, p)
+
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             dn_restricted_census(6, 2, mode="bogus")
