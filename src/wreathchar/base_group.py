@@ -207,7 +207,8 @@ def builtin(name: str) -> GroupData:
         raise KeyError(f"unknown builtin group {name!r}; choose from {BUILTIN_NAMES}") from None
     g = GroupData(name=name, **data)
     rep = validate(g)
-    assert rep.ok, f"builtin {name} failed validation: {rep.problems}"
+    if not rep.ok:
+        raise GroupValidationError(rep.problems)
     return g
 
 

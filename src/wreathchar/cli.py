@@ -51,6 +51,12 @@ class UsageError(ValueError):
 def _parse_label(text: str) -> MultiPartition:
     try:
         data = json.loads(text)
+        # Partition coerces parts through int(), which would take 2.7, true or
+        # "4"; a label must be JSON integers (type() also rules out booleans)
+        if not isinstance(data, list) or not all(
+            isinstance(comp, list) and all(type(part) is int for part in comp) for comp in data
+        ):
+            raise TypeError("expected a JSON list of lists of integers")
         return MultiPartition.from_tuples(data)
     except (ValueError, TypeError) as exc:
         raise UsageError(f"bad multipartition label {text!r}: {exc}") from None
@@ -231,6 +237,10 @@ def _cmd_concentration(args) -> int:
 
 
 def _cmd_dn_census(args) -> int:
+    if args.mode == "exact":
+        for flag, value in (("--seed", args.seed), ("--samples", args.samples)):
+            if value is not None:
+                raise UsageError(f"{flag} applies only to --mode sampled")
     seed = _resolve_seed(args) if args.mode == "sampled" else None
     report = dn_restricted_census(
         args.n,

@@ -14,14 +14,10 @@ same order, so ``unrank`` is the inverse of ``rank`` by construction.
 
 from __future__ import annotations
 
-import os
-import pickle
 from bisect import bisect_right
 from functools import lru_cache
 from math import factorial
 from typing import Iterator, NamedTuple
-
-CACHE_DIR_ENV = "WREATHCHAR_CACHE_DIR"
 
 
 class Partition:
@@ -168,9 +164,9 @@ def multipartitions_of(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...
 #
 # p_k arrays satisfy  p_k * E = p_{k-1}  where E is Euler's sparse pentagonal
 # series prod(1 - q^m); for k = 1 this is the classical pentagonal recurrence.
-# count_multipartitions evaluates the convolution
-#   p_k(n) = sum_a p(a) * p_{k-1}(n - a)
-# on top of those arrays; both routes are cross-checked in the tests.
+# These arrays are the one counting route: count_partitions and
+# count_multipartitions read them, and the tests check them against the
+# convolution p_k(n) = sum_a p(a) * p_{k-1}(n - a) and against enumeration.
 
 _pk_arrays: dict[int, list[int]] = {}
 
@@ -215,14 +211,10 @@ def count_partitions(n: int) -> int:
 
 
 def count_multipartitions(n: int, k: int) -> int:
-    """p_k(n) by the convolution p_k(n) = sum_a p(a) p_{k-1}(n-a), exact."""
+    """p_k(n), exact, read off the cached pentagonal p_k array."""
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
-    if k == 1:
-        return count_partitions(n)
-    p1 = _count_array(n, 1)
-    pk1 = _count_array(n, k - 1)
-    return sum(p1[a] * pk1[n - a] for a in range(n + 1))
+    return _count_array(n, k)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +327,12 @@ def dominates(a: MultiPartition, b: MultiPartition) -> bool:
 # components follow".  Base column T_t[m][0] = p_t(m) (component closed);
 # recurrence T_t[m][b] = T_t[m][b-1] + T_t[m-b][min(b, m-b)] splits on whether
 # the next part equals b.  Rows are monotone in b, so the unranking step is a
-# bisect.  Tables are cached in memory and, when WREATHCHAR_CACHE_DIR is set,
-# pickled to disk (they dominate memory for n in the thousands).
-
-_tables_mem: dict[tuple[int, int], list[list[list[int]]]] = {}
+# bisect.  Only the tables of the latest (n, k) stay in memory: a census uses
+# one (n, k), and at n in the thousands the tables take hundreds of MB.
 
 
-def _build_tables(n: int, k: int) -> list[list[list[int]]]:
+@lru_cache(maxsize=1)
+def _completion_tables(n: int, k: int) -> list[list[list[int]]]:
     tables = []
     for t in range(k):
         base = _count_array(n, t)
@@ -352,28 +343,6 @@ def _build_tables(n: int, k: int) -> list[list[list[int]]]:
                 row.append(row[b - 1] + tab[m - b][min(b, m - b)])
             tab.append(row)
         tables.append(tab)
-    return tables
-
-
-def _completion_tables(n: int, k: int) -> list[list[list[int]]]:
-    key = (n, k)
-    if key in _tables_mem:
-        return _tables_mem[key]
-    cache_dir = os.environ.get(CACHE_DIR_ENV)
-    path = None
-    if cache_dir:
-        path = os.path.join(cache_dir, f"unrank_n{n}_k{k}.pkl")
-        if os.path.exists(path):
-            with open(path, "rb") as fh:
-                tables = pickle.load(fh)
-            _tables_mem[key] = tables
-            return tables
-    tables = _build_tables(n, k)
-    _tables_mem[key] = tables
-    if path:
-        os.makedirs(cache_dir, exist_ok=True)
-        with open(path, "wb") as fh:
-            pickle.dump(tables, fh, protocol=pickle.HIGHEST_PROTOCOL)
     return tables
 
 

@@ -75,10 +75,7 @@ class CounterStream:
 
 def random_multipartition(n: int, k: int, stream: CounterStream) -> MultiPartition:
     """Exactly uniform k-multipartition of n: a uniform rank, unranked."""
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
-    total = _completion_tables(n, k)[k - 1][n][n]  # p_k(n), read as unranking reads it
-    return unrank_multipartition(n, k, stream.below(total))
+    return unrank_multipartition(n, k, stream.below(count_multipartitions(n, k)))
 
 
 def wilson_interval(hits: int, trials: int, confidence: float) -> tuple[float, float]:
@@ -211,11 +208,9 @@ def exact_census(
     )
 
 
-def _draw_pair(n: int, k: int, total: int, seed: int, index: int):
+def _draw_pair(n: int, k: int, seed: int, index: int):
     stream = CounterStream(seed, index)
-    lam = unrank_multipartition(n, k, stream.below(total))
-    mu = unrank_multipartition(n, k, stream.below(total))
-    return lam, mu
+    return random_multipartition(n, k, stream), random_multipartition(n, k, stream)
 
 
 def _divisible(group: GroupData, p: int, lam: MultiPartition, mu: MultiPartition) -> bool:
@@ -235,7 +230,7 @@ def _count_hits(draw, test, indices: range) -> int:
 def _census_hits(draw, test, samples: int, workers: int = 1) -> int:
     """Number of indices i < samples with test(*draw(i)), the one sample loop
     of every sampled census.  draw(i) depends only on i, so the count is the
-    same for any worker count; draw and test must pickle for workers > 1."""
+    same for any worker count; draw and test must be picklable for workers > 1."""
     _check_workers(workers)
     if workers == 1:
         return _count_hits(draw, test, range(samples))
@@ -267,10 +262,9 @@ def sampled_census(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     _check_confidence(confidence)
-    total = count_multipartitions(n, group.k)
     _completion_tables(n, group.k)  # built before any fork, shared by workers
     hits = _census_hits(
-        partial(_draw_pair, n, group.k, total, seed), partial(_divisible, group, p), samples, workers
+        partial(_draw_pair, n, group.k, seed), partial(_divisible, group, p), samples, workers
     )
     low, high = wilson_interval(hits, samples, confidence)
     return CensusReport(
@@ -304,9 +298,8 @@ def certificate_census(
         raise ValueError("group_k must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    total = count_multipartitions(n, group_k)
     _completion_tables(n, group_k)
-    hits = _census_hits(partial(_draw_pair, n, group_k, total, seed), partial(_certified, p), samples, workers)
+    hits = _census_hits(partial(_draw_pair, n, group_k, seed), partial(_certified, p), samples, workers)
     frac = Fraction(hits, samples)
     return CensusReport(
         mode="certificate",

@@ -24,9 +24,14 @@ from .partitions import (
     count_multipartitions,
     count_partitions,
     multipartitions_of,
-    unrank_multipartition,
 )
-from .stats import DEFAULT_CONFIDENCE, CensusReport, CounterStream, wilson_interval
+from .stats import (
+    DEFAULT_CONFIDENCE,
+    CensusReport,
+    CounterStream,
+    random_multipartition,
+    wilson_interval,
+)
 from .stats import _census_hits, _check_confidence, _divisible
 from .wreath_chars import DEFAULT_CELL_BUDGET, CellBudgetExceeded, character_column
 
@@ -109,15 +114,15 @@ def nonsplit_rows(n: int) -> list[tuple[tuple[int, ...], ...]]:
     return rows
 
 
-def _draw_dn_cell(n: int, total: int, seed: int, index: int):
+def _draw_dn_cell(n: int, seed: int, index: int):
     """Sample index of the sampled D_N census: a nonsplit row and a D_N column."""
     stream = CounterStream(seed, index)
     while True:  # ordered pair, diagonal rejected: uniform on unordered pairs
-        lam = unrank_multipartition(n, 2, stream.below(total))
+        lam = random_multipartition(n, 2, stream)
         if lam.components[0] != lam.components[1]:
             break
     while True:  # uniform over B_N classes inside D_N
-        mu = unrank_multipartition(n, 2, stream.below(total))
+        mu = random_multipartition(n, 2, stream)
         if bn_class_in_dn(mu):
             break
     return lam, mu
@@ -179,8 +184,7 @@ def dn_restricted_census(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     _check_confidence(confidence)
-    total = count_multipartitions(n, 2)
-    hits = _census_hits(partial(_draw_dn_cell, n, total, seed), partial(_divisible, group, p), samples)
+    hits = _census_hits(partial(_draw_dn_cell, n, seed), partial(_divisible, group, p), samples)
     low, high = wilson_interval(hits, samples, confidence)
     return CensusReport(
         mode="dn-sampled",

@@ -28,6 +28,17 @@ def test_unknown_builtin():
         builtin("A5")
 
 
+def test_broken_builtin_raises(monkeypatch):
+    # a real check, not an assert, so it also holds under python -O
+    import wreathchar.base_group as bg
+
+    broken = dict(bg._BUILTINS["Z2"], table=((1, 1), (1, 1)))
+    monkeypatch.setitem(bg._BUILTINS, "Z2", broken)
+    with pytest.raises(GroupValidationError) as exc:
+        builtin("Z2")
+    assert exc.value.problems
+
+
 def test_trivial_shape():
     g = builtin("trivial")
     assert g.k == 1 and g.order == 1 and g.table == ((1,),)

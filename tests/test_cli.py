@@ -110,6 +110,31 @@ class TestMashEquiv:
         assert code == EXIT_USAGE
 
 
+class TestLabels:
+    # Partition's int() would coerce 2.7, 2.0, true and "2" into valid parts
+    BAD = ["[[2.7],[]]", "[[2.0],[]]", "[[true,true],[]]", '[["2"],[]]', '["2"]', "2"]
+
+    @pytest.mark.parametrize("label", BAD)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("entry", "--group", "Z2", "--mu", "[[2],[]]", "--lambda"),
+            ("mash", "--p", "2", "--mu"),
+            ("equiv", "--p", "2", "--mu", "[[2],[]]", "--nu"),
+        ],
+    )
+    def test_non_integer_parts_exit_2(self, capsys, argv, label):
+        code, out, err = run(capsys, *argv, label)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: bad multipartition label {label!r}: expected a JSON list of lists of integers\n"
+
+    def test_integer_parts_still_parse(self, capsys):
+        code, out, _ = run(capsys, "mash", "--p", "2", "--mu", "[[1,1],[]]")
+        assert code == EXIT_OK
+        assert json.loads(out)["canonical"] == [[2], []]
+
+
 class TestCensuses:
     def test_exact_census_json(self, capsys):
         code, out, _ = run(capsys, "census", "--group", "Z2", "--n", "2", "--p", "2")
@@ -165,6 +190,13 @@ class TestCensuses:
         doc = json.loads(out)
         assert doc["mode"] == "dn-exact"
         assert doc["coverage"] is not None
+
+    @pytest.mark.parametrize("flag", ["--seed", "--samples"])
+    def test_dn_exact_rejects_sampling_flags(self, capsys, flag):
+        code, out, err = run(capsys, "dn-census", "--n", "4", "--p", "2", flag, "5")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {flag} applies only to --mode sampled\n"
 
     @pytest.mark.parametrize("confidence", ["0", "1", "1.5"])
     @pytest.mark.parametrize(

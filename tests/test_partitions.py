@@ -104,7 +104,8 @@ class TestCounting:
             assert count_partitions(n) == oracles.partition_count_bounded(n)
 
     def test_convolution_identity(self):
-        # p_k(n) = sum_a p(a) p_{k-1}(n-a), all routes through the arrays
+        # the p_k array (pentagonal recurrence on p_{k-1}) against the
+        # convolution p_k(n) = sum_a p(a) p_{k-1}(n-a)
         for k in (2, 3, 4):
             for n in range(0, 41):
                 conv = sum(
@@ -329,13 +330,8 @@ class TestUnranking:
             m.as_tuples() for m in enumerate_multipartitions(5, 2)
         )
 
-    def test_disk_cache_roundtrip(self, tmp_path, monkeypatch):
-        import wreathchar.partitions as pmod
-
-        monkeypatch.setenv(pmod.CACHE_DIR_ENV, str(tmp_path))
-        monkeypatch.setattr(pmod, "_tables_mem", {})
+    def test_only_latest_tables_stay(self):
         first = unrank_multipartition(7, 2, 11)
-        files = list(tmp_path.iterdir())
-        assert len(files) == 1 and files[0].name == "unrank_n7_k2.pkl"
-        monkeypatch.setattr(pmod, "_tables_mem", {})  # force the disk path
-        assert unrank_multipartition(7, 2, 11) == first
+        unrank_multipartition(9, 3, 5)
+        assert _completion_tables.cache_info().currsize == 1
+        assert unrank_multipartition(7, 2, 11) == first  # rebuilt, same draw
