@@ -163,10 +163,12 @@ def dn_restricted_census(
         weights = Counter(
             mash_canonical(MultiPartition.from_tuples(mu), p).canonical.as_tuples() for mu in dn_cols
         )
+        position = {lam: i for i, lam in enumerate(multipartitions_of(n, 2))}
+        row_positions = [position[lam] for lam in rows]
         hits = 0
         for canon, weight in weights.items():
             col = character_column(group, n, canon)
-            hits += weight * sum(1 for lam in rows if col.get(lam, 0) % p == 0)
+            hits += weight * sum(1 for r in row_positions if col[r] % p == 0)
         return CensusReport(
             mode="dn-exact",
             group="D",

@@ -238,9 +238,9 @@ def unreduced_dn_census(n, primes):
     hits = dict.fromkeys(primes, 0)
     z2 = builtin("Z2")
     for mu in cols:
-        col = character_column(z2, n, mu)
+        col = dict(zip(labels, character_column(z2, n, mu)))
         for lam in rows:
-            value = col.get(lam, 0)
+            value = col[lam]
             for p in primes:
                 if value % p == 0:
                     hits[p] += 1

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wreathchar
 from wreathchar.base_group import builtin, store
 from wreathchar.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, build_parser, main
 
@@ -313,3 +318,13 @@ class TestHelp:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["bogus-command"])
         assert exc.value.code == 2
+
+    def test_module_entry_point(self):
+        # the package's own source directory, so this runs from a checkout too
+        env = dict(os.environ, PYTHONPATH=str(Path(wreathchar.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "wreathchar", "--version"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == f"wreathchar {wreathchar.__version__}"

@@ -1,4 +1,5 @@
-"""Property tests for the counting and drawing layer and the CLI label parser."""
+"""Property tests for the counting and drawing layer, border-strip removal,
+mashing and the CLI label parser."""
 
 import json
 
@@ -9,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wreathchar.cli import _parse_label
+from wreathchar.congruence import mash_canonical, sim_p_equivalent
 from wreathchar.partitions import (
+    MultiPartition,
+    _strip_removals,
     count_multipartitions,
     count_partitions,
     rank_multipartition,
@@ -67,3 +71,76 @@ def labels(draw):
 def test_parse_label_round_trip(label, indent):
     mp = _parse_label(json.dumps(label, indent=indent))
     assert [list(comp.parts) for comp in mp.components] == label
+
+
+@st.composite
+def shapes(draw):
+    return tuple(sorted(draw(st.lists(st.integers(min_value=1, max_value=7), max_size=6)), reverse=True))
+
+
+def _subshapes(parts, size, cap=None):
+    """Partitions of ``size`` whose diagram lies inside that of ``parts``."""
+    if size == 0:
+        yield ()
+        return
+    if not parts:
+        return
+    top = parts[0] if cap is None else min(parts[0], cap)
+    for first in range(min(top, size), 0, -1):
+        for rest in _subshapes(parts[1:], size - first, first):
+            yield (first,) + rest
+
+
+def _strips_by_cells(parts, length):
+    """(remainder, height) for every border strip of ``length`` cells, found
+    as a skew shape lambda/nu that is connected and holds no 2x2 block."""
+    cells = {(i, j) for i, p in enumerate(parts) for j in range(p)}
+    out = []
+    for sub in _subshapes(parts, sum(parts) - length) if length <= sum(parts) else ():
+        strip = cells - {(i, j) for i, s in enumerate(sub) for j in range(s)}
+        if any({(i + 1, j), (i, j + 1), (i + 1, j + 1)} <= strip for i, j in strip):
+            continue
+        seen, todo = set(), [min(strip)]
+        while todo:
+            i, j = todo.pop()
+            if (i, j) in strip and (i, j) not in seen:
+                seen.add((i, j))
+                todo += [(i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)]
+        if seen == strip:
+            out.append((sub, len({i for i, _ in strip}) - 1))
+    return out
+
+
+@st.composite
+def shapes_and_lengths(draw):
+    parts = draw(shapes())
+    return parts, draw(st.integers(min_value=1, max_value=sum(parts) + 1))
+
+
+@SETTINGS
+@given(shapes_and_lengths())
+def test_strip_removals_match_cell_sets(shape_length):
+    parts, length = shape_length
+    assert sorted(_strip_removals(parts, length)) == sorted(_strips_by_cells(parts, length))
+
+
+PRIMES = st.sampled_from([2, 3, 5, 7])
+
+
+@SETTINGS
+@given(labels(), PRIMES)
+def test_mashing_is_idempotent(label, p):
+    mu = MultiPartition.from_tuples(label)
+    canonical = mash_canonical(mu, p).canonical
+    assert mash_canonical(canonical, p).canonical == canonical
+    assert sim_p_equivalent(mu, canonical, p)
+
+
+@SETTINGS
+@given(labels(), PRIMES, st.integers(min_value=1, max_value=6), st.data())
+def test_one_mashing_step_keeps_the_canonical_form(label, p, m, data):
+    # trading one part m*p for p parts m stays inside the class
+    c = data.draw(st.integers(min_value=0, max_value=len(label) - 1))
+    merged = [sorted(comp + [m * p], reverse=True) if i == c else comp for i, comp in enumerate(label)]
+    split = [sorted(comp + [m] * p, reverse=True) if i == c else comp for i, comp in enumerate(label)]
+    assert sim_p_equivalent(MultiPartition.from_tuples(merged), MultiPartition.from_tuples(split), p)

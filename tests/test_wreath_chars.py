@@ -1,3 +1,4 @@
+import csv
 import json
 import random
 from io import StringIO
@@ -5,7 +6,8 @@ from math import factorial
 
 import pytest
 
-from wreathchar.base_group import GroupData, builtin
+from wreathchar.base_group import BUILTIN_NAMES, GroupData, builtin
+from wreathchar.cli import _parse_label
 from wreathchar.partitions import MultiPartition, Partition, count_multipartitions, multipartitions_of
 from wreathchar.wreath_chars import (
     CellBudgetExceeded,
@@ -19,6 +21,7 @@ from wreathchar.wreath_chars import (
     perm_character,
     perm_multiplicity,
     _mn_rec,
+    _step_tables,
 )
 
 import oracles
@@ -297,12 +300,23 @@ class TestCharacterTable:
         t = character_table(Z2, 3)
         c = t.col_labels.index(MultiPartition([[2, 1], []]))
         for r, lam in enumerate(t.row_labels):
-            assert col.get(lam.as_tuples(), 0) == t.values[r][c]
+            assert col[multipartitions_of(3, 2).index(lam.as_tuples())] == t.values[r][c]
 
     def test_worker_determinism(self):
         a = character_table(Z2, 3, workers=1)
         b = character_table(Z2, 3, workers=2)
         assert a.values == b.values
+
+    def test_pool_splits_columns(self):
+        # 65 columns, so the pool hands them out in several chunks
+        a = character_table(Z2, 6, workers=1)
+        b = character_table(Z2, 6, workers=2)
+        assert a.values == b.values
+
+    def test_step_tables_dropped(self):
+        for workers in (1, 2):
+            character_table(S3, 3, workers=workers)
+            assert _step_tables.cache_info().currsize == 0
 
     def test_orthogonality_small(self):
         # k = 3 goes up to n = 4; the k <= 2 sweep to n = 5 is in acceptance
@@ -340,3 +354,61 @@ class TestCharacterTable:
         assert doc["values"] == [["1", "1"], ["1", "-1"]]
         assert doc["row_labels"] == [[[1], []], [[], [1]]]
         json.dumps(doc)
+
+
+# the largest n at which every column is checked cell by cell against mn_character
+COLUMN_ORACLE_N = {"trivial": 8, "Z2": 6, "S3": 4, "Z2xZ2": 3, "D8": 3, "Q8": 3, "S4": 3}
+
+
+class TestCharacterColumn:
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_matches_mn_character(self, name):
+        g = builtin(name)
+        for n in range(COLUMN_ORACLE_N[name] + 1):
+            labels = mps(n, g.k)
+            for mu in labels:
+                col = character_column(g, n, mu.as_tuples())
+                assert col == [mn_character(g, lam, mu) for lam in labels]
+
+    def test_rejects_wrong_total(self):
+        with pytest.raises(ValueError):
+            character_column(Z2, 5, ((2, 1), ()))
+
+    def test_rejects_wrong_component_count(self):
+        with pytest.raises(ValueError):
+            character_column(Z2, 3, ((2, 1), (), ()))
+
+    def test_rejects_negative_n(self):
+        with pytest.raises(ValueError):
+            character_column(Z2, -1, ((), ()))
+
+
+def _encode(lab):
+    return json.dumps([list(p.parts) for p in lab.components], separators=(",", ":"))
+
+
+def _reference_csv(t):
+    # one json.dumps per cell, the encoding write_csv must reproduce byte for byte
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["row_label", "col_label", "value"])
+    for lab, row in zip(t.row_labels, t.values):
+        for mu, v in zip(t.col_labels, row):
+            writer.writerow([_encode(lab), _encode(mu), str(v)])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_csv_matches_per_cell_encoding(name):
+    g = builtin(name)
+    for n in range(4):
+        t = character_table(g, n)
+        buf = StringIO()
+        t.write_csv(buf)
+        text = buf.getvalue()
+        assert text == _reference_csv(t)
+        rows = list(csv.reader(StringIO(text)))[1:]
+        cells = [(lam, mu, v) for lam, row in zip(t.row_labels, t.values) for mu, v in zip(t.col_labels, row)]
+        assert len(rows) == len(cells)
+        for (rl, cl, v), (lam, mu, want) in zip(rows, cells):
+            assert (_parse_label(rl), _parse_label(cl), int(v)) == (lam, mu, want)
