@@ -81,7 +81,7 @@ def mash_canonical(mu: MultiPartition, p: int) -> MashedClass:
     return MashedClass(
         original=mu,
         prime=p,
-        canonical=MultiPartition.from_tuples(canon),
+        canonical=MultiPartition._from_valid(canon),
         largest_part=largest,
     )
 

@@ -1,6 +1,11 @@
 """Integer partitions and k-multipartitions: enumeration, exact counting,
 hooks, rimhooks, t-cores, dominance, and rank/unrank in the canonical order.
 
+Border strips are read off beta-sets: as sorted first-column hook lengths
+(``_strip_removals``, for whole-column peel tables and ``remove_rimhooks``)
+or as the bits of one Python int (``_beta_mask``, for t-core tests and the
+single-cell character kernel).
+
 Canonical orders (used everywhere downstream):
   * partitions of n: descending lexicographic on part tuples,
     e.g. n=4 -> (4), (3,1), (2,2), (2,1,1), (1,1,1,1);
@@ -26,14 +31,24 @@ class Partition:
     __slots__ = ("parts", "size")
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
         for i, p in enumerate(parts):
+            if not isinstance(p, int) or isinstance(p, bool):
+                raise ValueError(f"parts must be integers, got {p!r} at index {i}")
             if p < 1:
                 raise ValueError(f"parts must be positive, got {p} at index {i}")
             if i and parts[i - 1] < p:
                 raise ValueError(f"parts must be weakly decreasing, got {parts}")
         self.parts = parts
         self.size = sum(parts)
+
+    @classmethod
+    def _from_valid(cls, parts: tuple[int, ...]) -> "Partition":
+        """A partition from parts already known to be valid; no checks."""
+        self = cls.__new__(cls)
+        self.parts = parts
+        self.size = sum(parts)
+        return self
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
@@ -79,6 +94,16 @@ class MultiPartition:
     @classmethod
     def from_tuples(cls, tuples) -> "MultiPartition":
         return cls([Partition(t) for t in tuples])
+
+    @classmethod
+    def _from_valid(cls, tuples) -> "MultiPartition":
+        """From part tuples that are valid by construction (unranking,
+        mashing): at least one, each weakly decreasing positive ints.  Nothing
+        is checked again; every public constructor validates."""
+        self = cls.__new__(cls)
+        self.components = comps = tuple(map(Partition._from_valid, tuples))
+        self.total = sum(c.size for c in comps)
+        return self
 
     def __eq__(self, other):
         return isinstance(other, MultiPartition) and self.as_tuples() == other.as_tuples()
@@ -246,6 +271,23 @@ def _beta(parts: tuple[int, ...]) -> list[int]:
     return [parts[i] + rows - 1 - i for i in range(rows)]
 
 
+def _beta_mask(parts: tuple[int, ...]) -> int:
+    """The beta-set as an int: bit parts[i] + rows - 1 - i set for each row i.
+
+    A border strip of length L is a bead at i + L moved to a free position i,
+    so the removable strips are the set bits i of (mask >> L) & ~mask; the
+    strip's height is the number of beads strictly between i and i + L.  The
+    bead count never changes, so a removal leaves a mask of the same rows
+    (zero parts included) and masks compare only within one bead count.
+    """
+    mask = 0
+    bead = len(parts) - 1
+    for part in parts:
+        mask |= 1 << (part + bead)
+        bead -= 1
+    return mask
+
+
 @lru_cache(maxsize=None)
 def _strip_removals(parts: tuple[int, ...], length: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """All (remainder parts, height) for removable border strips of ``length``.
@@ -284,14 +326,14 @@ def is_t_core(p: Partition, t: int) -> bool:
     """True iff no hook length of p is divisible by t.
 
     Checked as "no removable rimhook of length exactly t" on the beta-set,
-    which is equivalent (a hook divisible by t implies a hook equal to t);
-    the tests tie this to the hook_lengths definition exhaustively.
+    which is equivalent (a hook divisible by t implies a hook equal to t):
+    no bead has a free position t below it.  The tests tie this to the
+    hook_lengths definition exhaustively.
     """
     if t < 1:
         raise ValueError("t must be positive")
-    beta = _beta(p.parts)
-    bset = set(beta)
-    return all(b < t or (b - t) in bset for b in beta)
+    mask = _beta_mask(p.parts)
+    return not (mask >> t) & ~mask
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +416,7 @@ def unrank_multipartition(n: int, k: int, index: int) -> MultiPartition:
             m -= s
             b = s
         comps.append(tuple(parts))
-    return MultiPartition.from_tuples(comps)
+    return MultiPartition._from_valid(comps)
 
 
 def rank_multipartition(mp: MultiPartition) -> int:

@@ -25,7 +25,7 @@ from statistics import NormalDist
 from typing import Optional
 
 from .base_group import GroupData
-from .congruence import mash_canonical, require_prime, zero_certificate
+from .congruence import _mash_component, mash_canonical, require_prime, zero_certificate
 from .partitions import (
     MultiPartition,
     _completion_tables,
@@ -216,7 +216,8 @@ def _draw_pair(n: int, k: int, seed: int, index: int):
 def _divisible(group: GroupData, p: int, lam: MultiPartition, mu: MultiPartition) -> bool:
     # chi^lam is constant mod p on a mashing class, so the cell is decided at
     # the canonical label, the one with the fewest parts to peel
-    return mn_character(group, lam, mash_canonical(mu, p).canonical) % p == 0
+    canonical = MultiPartition._from_valid(_mash_component(parts, p) for parts in mu.as_tuples())
+    return mn_character(group, lam, canonical) % p == 0
 
 
 def _certified(p: int, lam: MultiPartition, mu: MultiPartition) -> bool:

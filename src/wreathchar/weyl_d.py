@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 from .base_group import builtin
 from .congruence import mash_canonical, require_prime
@@ -75,32 +75,28 @@ def dn_irrep_census(n: int) -> DnIrrepCensus:
     return DnIrrepCensus(nonsplit=(p2 - diag) // 2, split_halves=2 * diag)
 
 
-@lru_cache(maxsize=None)
-def _partitions_with_parts(m: int, r: int, max_part: int) -> int:
-    """Partitions of m into exactly r parts, each <= max_part."""
-    if m == 0:
-        return 1 if r == 0 else 0
-    if r == 0 or max_part == 0:
-        return 0
-    # first part equals max_part, or all parts <= max_part - 1
-    out = _partitions_with_parts(m, r, max_part - 1)
-    if m >= max_part:
-        out += _partitions_with_parts(m - max_part, r - 1, max_part)
-    return out
+def _dn_column_count(n: int) -> int:
+    """Number of B_N classes inside D_N: labels (alpha, beta) with an even
+    number of parts in beta, sum_a p(a) e(n - a).
 
-
-def _even_part_count(m: int) -> int:
-    return sum(_partitions_with_parts(m, r, m) for r in range(0, m + 1, 2))
+    e(m) = (p(m) + (-1)^m sd(m)) / 2 counts the partitions of m with an even
+    number of parts, where sd(m) counts the partitions of m into distinct odd
+    parts: prod_j 1/(1 + q^j) = prod_j (1 - q^(2j-1)) signs each partition by
+    (-1)^(#parts), and a partition into odd parts has #parts = m mod 2.
+    """
+    sd = [1] + [0] * n
+    for part in range(1, n + 1, 2):
+        for m in range(n, part - 1, -1):
+            sd[m] += sd[m - part]
+    p = [count_partitions(m) for m in range(n + 1)]
+    return sum(p[a] * (p[n - a] + (-1) ** (n - a) * sd[n - a]) // 2 for a in range(n + 1))
 
 
 def dn_half_classes_property(n: int) -> Fraction:
     """Exact fraction of B_N classes lying inside D_N; always >= 1/2."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    inside = sum(
-        count_partitions(a) * _even_part_count(n - a) for a in range(n + 1)
-    )
-    return Fraction(inside, count_multipartitions(n, 2))
+    return Fraction(_dn_column_count(n), count_multipartitions(n, 2))
 
 
 def nonsplit_rows(n: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -150,9 +146,9 @@ def dn_restricted_census(
     require_prime(p)
     group = builtin("Z2")
     census = dn_irrep_census(n)
-    dn_cols = [mp for mp in multipartitions_of(n, 2) if len(mp[1]) % 2 == 0]
-    coverage = Fraction(census.nonsplit * len(dn_cols), census.total * census.total)
+    coverage = Fraction(census.nonsplit * _dn_column_count(n), census.total * census.total)
     if mode == "exact":
+        dn_cols = [mp for mp in multipartitions_of(n, 2) if len(mp[1]) % 2 == 0]
         rows = nonsplit_rows(n)
         cells = len(rows) * len(dn_cols)
         if cells > cell_budget:

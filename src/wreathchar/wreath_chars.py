@@ -5,9 +5,11 @@ flatten the class label mu into (length, class) pairs (component index
 ascending, part length descending), then peel rimhooks of each length from
 the components of lambda; a hook placed in component q while consuming a
 part of mu_j contributes a factor table[q][j], and each decomposition is
-signed by (-1)^height.  Permutation-module values come from an independent
-row-decomposition DP.  The two are linked by Kostka-product multiplicities,
-which the acceptance suite checks cell by cell.
+signed by (-1)^height.  A single cell runs the recursion on beta-sets held
+as ints (``_mn_beads``); a whole column runs it bottom-up over indexed
+peel steps (``character_column``).  Permutation-module values come from an
+independent row-decomposition DP.  The two are linked by Kostka-product
+multiplicities, which the acceptance suite checks cell by cell.
 
 Component i of every multipartition is paired with row i of the group table;
 class j of G is column j.  All arithmetic is exact integer arithmetic.
@@ -27,6 +29,7 @@ from .base_group import GroupData
 from .partitions import (
     MultiPartition,
     Partition,
+    _beta_mask,
     _strip_removals,
     count_multipartitions,
     multipartitions_of,
@@ -85,26 +88,39 @@ def class_size(group: GroupData, mu: MultiPartition) -> int:
 # Murnaghan-Nakayama values
 
 
-def _mn_rec(lam, pos, seq, table, k, memo):
+def _mn_beads(masks, pos, seq, table, memo):
+    """chi on lambda, given as one beta-set mask per component, peeling the
+    (length, class) pairs seq[pos:]; memo holds this evaluation's (masks, pos).
+
+    A strip of ``length`` removable from component q is a set bit ``low`` of
+    (mask >> length) & ~mask: the bead at low << length moves down to low,
+    signed by the parity of the beads strictly between the two.
+    """
     if pos == len(seq):
         return 1
-    key = (lam, pos)
+    key = (masks, pos)
     cached = memo.get(key)
     if cached is not None:
         return cached
     length, j = seq[pos]
+    between = (1 << (length - 1)) - 1
     total = 0
-    for q in range(k):
+    for q, mask in enumerate(masks):
         factor = table[q][j]
         if not factor:
             continue
-        comp = lam[q]
-        if not comp:
-            continue
-        for rem, height in _strip_removals(comp, length):
-            sub = _mn_rec(lam[:q] + (rem,) + lam[q + 1 :], pos + 1, seq, table, k, memo)
+        free = (mask >> length) & ~mask
+        while free:
+            low = free & -free
+            free ^= low
+            sub = _mn_beads(
+                masks[:q] + (mask ^ (low | low << length),) + masks[q + 1 :], pos + 1, seq, table, memo
+            )
             if sub:
-                total += -factor * sub if height & 1 else factor * sub
+                if (mask & (between * low << 1)).bit_count() & 1:
+                    total -= factor * sub
+                else:
+                    total += factor * sub
     memo[key] = total
     return total
 
@@ -114,7 +130,7 @@ def _mn_rec(lam, pos, seq, table, k, memo):
 # keeps long-lived processes small.
 @lru_cache(maxsize=1 << 16)
 def _mn_value(table, lam, mu) -> int:
-    return _mn_rec(lam, 0, flatten_class(mu), table, len(lam), {})
+    return _mn_beads(tuple(map(_beta_mask, lam)), 0, flatten_class(mu), table, {})
 
 
 def mn_character(group: GroupData, lam: MultiPartition, mu: MultiPartition) -> int:

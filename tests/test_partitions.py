@@ -32,6 +32,14 @@ class TestTypes:
         assert Partition(()).size == 0
         assert Partition((4, 2, 1)).size == 7
 
+    @pytest.mark.parametrize("parts, bad", [([2.7, 1], "2.7"), (["3"], "'3'"), ([True], "True")])
+    def test_partition_rejects_non_int_parts(self, parts, bad):
+        # int() would have coerced each of these to a valid part
+        with pytest.raises(ValueError, match=f"got {bad} at index 0"):
+            Partition(parts)
+        with pytest.raises(ValueError, match=f"got {bad} at index 0"):
+            MultiPartition([parts, []])
+
     def test_multipartition_total(self):
         mp = MultiPartition([[3, 1], [2]])
         assert mp.total == 6

@@ -1,5 +1,5 @@
 """Property tests for the counting and drawing layer, border-strip removal,
-mashing and the CLI label parser."""
+the bit-set Murnaghan-Nakayama kernel, mashing and the CLI label parser."""
 
 import json
 
@@ -9,10 +9,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wreathchar.base_group import BUILTIN_NAMES, builtin
 from wreathchar.cli import _parse_label
 from wreathchar.congruence import mash_canonical, sim_p_equivalent
 from wreathchar.partitions import (
     MultiPartition,
+    _beta_mask,
     _strip_removals,
     count_multipartitions,
     count_partitions,
@@ -20,6 +22,9 @@ from wreathchar.partitions import (
     unrank_multipartition,
 )
 from wreathchar.stats import CounterStream, random_multipartition
+from wreathchar.wreath_chars import _mn_beads, flatten_class, mn_character
+
+import oracles
 
 SIZES = st.integers(min_value=0, max_value=30)
 KS = st.integers(min_value=1, max_value=3)
@@ -124,7 +129,78 @@ def test_strip_removals_match_cell_sets(shape_length):
     assert sorted(_strip_removals(parts, length)) == sorted(_strips_by_cells(parts, length))
 
 
+class _SeededMemo(dict):
+    """A kernel memo that answers every lookup below the top from its seeds
+    and records it; a remainder it was not seeded with raises KeyError."""
+
+    def __init__(self, seeds):
+        super().__init__(seeds)
+        self.looked_up = []
+
+    def get(self, key):
+        if key[1] == 0:
+            return None
+        self.looked_up.append(key)
+        return self[key]
+
+
+@st.composite
+def partitions_and_lengths(draw):
+    n = draw(SIZES)
+    parts = unrank_multipartition(n, 1, draw(st.integers(0, count_partitions(n) - 1))).as_tuples()[0]
+    return parts, draw(st.integers(min_value=1, max_value=n + 1))
+
+
+@SETTINGS
+@given(partitions_and_lengths())
+def test_bead_strips_match_strip_removals(parts_length):
+    # Each remainder the tuple path finds is seeded with its own weight 3^i,
+    # so the kernel's one-step total is the signed sum of the weights of the
+    # strips it removed, and every remainder it reaches must be a seeded one.
+    parts, length = parts_length
+    rows = len(parts)
+    want = _strip_removals(parts, length)
+    keys = [((_beta_mask(rem + (0,) * (rows - len(rem))),), 1) for rem, _ in want]
+    memo = _SeededMemo({key: 3**i for i, key in enumerate(keys)})
+    total = _mn_beads((_beta_mask(parts),), 0, ((length, 0), (1, 0)), ((1,),), memo)
+    assert sorted(memo.looked_up) == sorted(keys)
+    assert total == sum(-(3**i) if height & 1 else 3**i for i, (_, height) in enumerate(want))
+
+
+@st.composite
+def small_cells(draw):
+    group = builtin(draw(st.sampled_from(BUILTIN_NAMES)))
+    n = draw(st.integers(min_value=0, max_value=6 if group.k <= 2 else 4))
+    size = count_multipartitions(n, group.k)
+    lam, mu = (unrank_multipartition(n, group.k, draw(st.integers(0, size - 1))) for _ in range(2))
+    return group, lam, mu
+
+
+@SETTINGS
+@given(small_cells())
+def test_mn_character_matches_brute_peeling(cell):
+    group, lam, mu = cell
+    want = oracles.brute_mn_value(group.table, lam.as_tuples(), flatten_class(mu.as_tuples()))
+    assert mn_character(group, lam, mu) == want
+
+
 PRIMES = st.sampled_from([2, 3, 5, 7])
+
+
+def _same_as_validated(mp):
+    checked = MultiPartition.from_tuples(mp.as_tuples())
+    assert mp == checked
+    assert mp.total == checked.total
+    assert [c.size for c in mp.components] == [c.size for c in checked.components]
+
+
+@SETTINGS
+@given(ranked(), st.sampled_from([2, 3, 5]))
+def test_unchecked_labels_equal_validated_ones(nki, p):
+    n, k, i = nki
+    drawn = unrank_multipartition(n, k, i)
+    _same_as_validated(drawn)
+    _same_as_validated(mash_canonical(drawn, p).canonical)
 
 
 @SETTINGS

@@ -5,6 +5,7 @@ import pytest
 from wreathchar.base_group import builtin
 from wreathchar.partitions import MultiPartition, count_partitions, multipartitions_of
 from wreathchar.weyl_d import (
+    _dn_column_count,
     bn_class_in_dn,
     dn_half_classes_property,
     dn_irrep_census,
@@ -85,6 +86,11 @@ class TestHalfClasses:
             inside = sum(1 for t in labels if len(t[1]) % 2 == 0)
             assert dn_half_classes_property(n) == Fraction(inside, len(labels))
 
+    def test_column_count_matches_enumeration(self):
+        for n in range(17):
+            inside = sum(1 for t in multipartitions_of(n, 2) if len(t[1]) % 2 == 0)
+            assert _dn_column_count(n) == inside, n
+
 
 class TestPsiTwist:
     def test_twist_identity_small(self):
@@ -143,6 +149,12 @@ class TestRestrictedCensus:
         b = dn_restricted_census(9, 2, mode="sampled", samples=200, seed=17)
         assert a == b
         assert a.mode == "dn-sampled"
+
+    def test_sampled_counts_columns_without_enumerating(self):
+        before = multipartitions_of.cache_info().currsize
+        r = dn_restricted_census(30, 3, mode="sampled", samples=20, seed=1)
+        assert r.coverage == Fraction(5422996397, 5432721849)
+        assert multipartitions_of.cache_info().currsize == before
 
     def test_sampled_needs_seed_and_samples(self):
         with pytest.raises(ValueError):

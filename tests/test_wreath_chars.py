@@ -8,7 +8,13 @@ import pytest
 
 from wreathchar.base_group import BUILTIN_NAMES, GroupData, builtin
 from wreathchar.cli import _parse_label
-from wreathchar.partitions import MultiPartition, Partition, count_multipartitions, multipartitions_of
+from wreathchar.partitions import (
+    MultiPartition,
+    Partition,
+    _beta_mask,
+    count_multipartitions,
+    multipartitions_of,
+)
 from wreathchar.wreath_chars import (
     CellBudgetExceeded,
     character_column,
@@ -20,7 +26,7 @@ from wreathchar.wreath_chars import (
     mn_character,
     perm_character,
     perm_multiplicity,
-    _mn_rec,
+    _mn_beads,
     _step_tables,
 )
 
@@ -107,7 +113,8 @@ class TestMnCharacter:
                 mu = rng.choice(labels)
                 seq = list(flatten_class(mu.as_tuples()))
                 rng.shuffle(seq)
-                shuffled = _mn_rec(lam.as_tuples(), 0, tuple(seq), Z2.table, 2, {})
+                masks = tuple(_beta_mask(comp) for comp in lam.as_tuples())
+                shuffled = _mn_beads(masks, 0, tuple(seq), Z2.table, {})
                 assert shuffled == mn_character(Z2, lam, mu)
 
     def test_rejects_mismatch(self):
