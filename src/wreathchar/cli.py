@@ -51,8 +51,8 @@ class UsageError(ValueError):
 def _parse_label(text: str) -> MultiPartition:
     try:
         data = json.loads(text)
-        # Partition coerces parts through int(), which would take 2.7, true or
-        # "4"; a label must be JSON integers (type() also rules out booleans)
+        # a label must be a JSON list of lists of integers; Partition rejects
+        # other parts too, but this names the whole label's expected shape
         if not isinstance(data, list) or not all(
             isinstance(comp, list) and all(type(part) is int for part in comp) for comp in data
         ):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
+from itertools import accumulate, chain
 from math import factorial
 from typing import Iterator, NamedTuple
 
@@ -368,9 +369,21 @@ def dominates(a: MultiPartition, b: MultiPartition) -> bool:
 # state "m boxes left, current component may still take parts <= b, t more
 # components follow".  Base column T_t[m][0] = p_t(m) (component closed);
 # recurrence T_t[m][b] = T_t[m][b-1] + T_t[m-b][min(b, m-b)] splits on whether
-# the next part equals b.  Rows are monotone in b, so the unranking step is a
-# bisect.  Only the tables of the latest (n, k) stay in memory: a census uses
-# one (n, k), and at n in the thousands the tables take hundreds of MB.
+# the next part equals b.  For b > m/2 the term is the diagonal T_t[j][j] with
+# j = m - b, and the diagonal is p_{t+1}(j): with the current component
+# unrestricted, the t + 1 components left make a (t+1)-multipartition of j.
+# So each row is one running sum over the base entry, the entries T_t[m-b][b]
+# of earlier rows for b <= m/2, and a reversed slice of the p_{t+1} array.
+#
+# Rows are increasing in b, and the subtree below "next part s" holds the
+# ranks [row[s-1], row[s]) counted from its bottom (the block of "close the
+# component" is row[0], last in descending order).  The walk carries
+# r = p_k(n) - 1 - index, the rank from the bottom of the current subtree:
+# taking part s subtracts row[s-1], and closing a component keeps r, since
+# row[0] = p_t(m) is the corner T_{t-1}[m][m] of the next table.  The rank is
+# the same sum read back.  Only the tables of the latest (n, k) stay in
+# memory: a census uses one (n, k), and at n in the thousands the tables take
+# hundreds of MB.
 
 
 @lru_cache(maxsize=1)
@@ -378,12 +391,15 @@ def _completion_tables(n: int, k: int) -> list[list[list[int]]]:
     tables = []
     for t in range(k):
         base = _count_array(n, t)
+        diagonal = _count_array(n, t + 1)
         tab: list[list[int]] = []
         for m in range(n + 1):
-            row = [base[m]]
-            for b in range(1, m + 1):
-                row.append(row[b - 1] + tab[m - b][min(b, m - b)])
-            tab.append(row)
+            h = m // 2
+            tab.append(list(accumulate(chain(
+                (base[m],),
+                map(list.__getitem__, reversed(tab[m - h:]), range(1, h + 1)),
+                reversed(diagonal[: m - h]),
+            ))))
         tables.append(tab)
     return tables
 
@@ -396,25 +412,23 @@ def unrank_multipartition(n: int, k: int, index: int) -> MultiPartition:
     total = tables[k - 1][n][n]  # p_k(n)
     if not 0 <= index < total:
         raise IndexError(f"index {index} out of range [0, {total})")
+    r = total - 1 - index
     comps = []
     m = n
-    for c in range(k):
-        tab = tables[k - 1 - c]
+    for tab in reversed(tables):
         parts = []
-        b = m
-        while True:
+        s = m
+        while m:
             row = tab[m]
-            hi = min(b, m)
-            r = row[hi] - 1 - index  # rank from the bottom of this subtree
-            s = bisect_right(row, r, 0, hi + 1)
-            if s == 0:
-                index = row[0] - 1 - r
-                break
-            block = tab[m - s][min(s, m - s)]
-            index = block - 1 - (r - row[s - 1])
+            if s > m:
+                s = m
+            if r < row[s - 1]:  # the next part is not a repeat of s
+                s = bisect_right(row, r, 0, s - 1)
+                if not s:
+                    break
+            r -= row[s - 1]
             parts.append(s)
             m -= s
-            b = s
         comps.append(tuple(parts))
     return MultiPartition._from_valid(comps)
 
@@ -423,14 +437,10 @@ def rank_multipartition(mp: MultiPartition) -> int:
     """Position of mp in the canonical enumeration; inverse of unrank."""
     n, k = mp.total, mp.k
     tables = _completion_tables(n, k)
-    index = 0
+    r = 0
     m = n
-    for c, comp in enumerate(mp.components):
-        tab = tables[k - 1 - c]
-        b = m
+    for tab, comp in zip(reversed(tables), mp.components):
         for s in comp.parts:
-            index += tab[m][min(b, m)] - tab[m][min(s, m)]
+            r += tab[m][s - 1]
             m -= s
-            b = s
-        index += tab[m][min(b, m)] - tab[m][0]
-    return index
+    return tables[k - 1][n][n] - 1 - r

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -339,8 +340,8 @@ def _as_fraction(delta) -> Fraction:
 
 def concentration_check(k: int, n: int, delta) -> Fraction:
     """Exact fraction of k-multipartitions with every component size inside
-    the open window (n/k (1-delta), n/k (1+delta)); no enumeration, just
-    partition counts over size compositions."""
+    the open window (n/k (1-delta), n/k (1+delta)); no enumeration, just k
+    convolutions of the window-masked partition counts, truncated at n."""
     d = _as_fraction(delta)
     if not 0 < d < 1:
         raise ValueError("delta must be in (0, 1)")
@@ -348,18 +349,8 @@ def concentration_check(k: int, n: int, delta) -> Fraction:
         raise ValueError("need n >= 0 and k >= 1")
     lo = Fraction(n, k) * (1 - d)
     hi = Fraction(n, k) * (1 + d)
-    counts = _count_array(n, 1)
-
-    def admissible(a: int) -> bool:
-        return lo < a < hi
-
-    def rec(i: int, remaining: int) -> int:
-        if i == k - 1:
-            return counts[remaining] if admissible(remaining) else 0
-        sub = 0
-        for a in range(remaining + 1):
-            if admissible(a):
-                sub += counts[a] * rec(i + 1, remaining - a)
-        return sub
-
-    return Fraction(rec(0, n), count_multipartitions(n, k))
+    window = [c if lo < a < hi else 0 for a, c in enumerate(_count_array(n, 1)[: n + 1])]
+    ways = [1] + [0] * n  # size compositions of 0 components
+    for _ in range(k):
+        ways = [sum(map(operator.mul, window[: m + 1], ways[m::-1])) for m in range(n + 1)]
+    return Fraction(ways[n], count_multipartitions(n, k))

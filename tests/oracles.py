@@ -1,8 +1,9 @@
 """Independent brute-force oracles the tests check the fast paths against.
 
 Everything here is deliberately naive: cell-set reasoning for border strips,
-unmemoized recursion for characters, exhaustive assignment enumeration for
-row decompositions, backtracking for tableaux.  None of it shares code with
+unmemoized recursion for characters and for window counts, exhaustive
+assignment enumeration for row decompositions, backtracking for tableaux, and
+entry-at-a-time completion tables with the top-down unranking walk.  None of it shares code with
 the package internals beyond plain tuples, except ``unreduced_dn_census``,
 which checks a reduction of the type-D census rather than the character
 engine and so reads its columns from that engine.
@@ -11,6 +12,8 @@ engine and so reads its columns from that engine.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
+from fractions import Fraction
 from math import factorial
 
 
@@ -245,3 +248,84 @@ def unreduced_dn_census(n, primes):
                 if value % p == 0:
                     hits[p] += 1
     return hits, len(rows) * len(cols)
+
+
+def multipartition_count_array(n, t):
+    """p_t(0..n) by convolving t copies of the parts-bounded p array; p_0 is
+    the delta at 0.  Independent of the pentagonal route."""
+    bounded = [[1] * (n + 1)] + [[0] * (n + 1) for _ in range(n)]
+    for m in range(1, n + 1):
+        for b in range(1, n + 1):
+            bounded[m][b] = bounded[m][b - 1] + (bounded[m - b][b] if m >= b else 0)
+    single = [bounded[m][n] for m in range(n + 1)]
+    out = [1] + [0] * n
+    for _ in range(t):
+        out = [sum(single[a] * out[m - a] for a in range(m + 1)) for m in range(n + 1)]
+    return out
+
+
+def completion_tables(n, k):
+    """The completion tables T_t[m][b] by the entry-at-a-time double loop:
+    T_t[m][0] = p_t(m), T_t[m][b] = T_t[m][b-1] + T_t[m-b][min(b, m-b)]."""
+    tables = []
+    for t in range(k):
+        base = multipartition_count_array(n, t)
+        tab = []
+        for m in range(n + 1):
+            row = [base[m]]
+            for b in range(1, m + 1):
+                row.append(row[b - 1] + tab[m - b][min(b, m - b)])
+            tab.append(row)
+        tables.append(tab)
+    return tables
+
+
+def unrank_multipartition(n, k, index, tables=None):
+    """The index-th k-multipartition of n, as part tuples, by the top-down
+    walk: bisect each row for the next part, then flip the rank into the
+    chosen block."""
+    if tables is None:
+        tables = completion_tables(n, k)
+    comps = []
+    m = n
+    for c in range(k):
+        tab = tables[k - 1 - c]
+        parts = []
+        b = m
+        while True:
+            row = tab[m]
+            hi = min(b, m)
+            r = row[hi] - 1 - index  # rank from the bottom of this subtree
+            s = bisect_right(row, r, 0, hi + 1)
+            if s == 0:
+                index = row[0] - 1 - r
+                break
+            block = tab[m - s][min(s, m - s)]
+            index = block - 1 - (r - row[s - 1])
+            parts.append(s)
+            m -= s
+            b = s
+        comps.append(tuple(parts))
+    return tuple(comps)
+
+
+def concentration_fraction(k, n, delta):
+    """``concentration_check`` by the unmemoized recursion over component
+    sizes, O(n^(k-1)); ``delta`` is a Fraction in (0, 1)."""
+    lo = Fraction(n, k) * (1 - delta)
+    hi = Fraction(n, k) * (1 + delta)
+    counts = multipartition_count_array(n, 1)
+
+    def admissible(a):
+        return lo < a < hi
+
+    def rec(i, remaining):
+        if i == k - 1:
+            return counts[remaining] if admissible(remaining) else 0
+        sub = 0
+        for a in range(remaining + 1):
+            if admissible(a):
+                sub += counts[a] * rec(i + 1, remaining - a)
+        return sub
+
+    return Fraction(rec(0, n), multipartition_count_array(n, k)[n])

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from wreathchar.partitions import (
@@ -326,6 +328,25 @@ class TestUnranking:
         for k in (1, 2, 3):
             for n in range(40):
                 assert _completion_tables(n, k)[k - 1][n][n] == count_multipartitions(n, k)
+
+    def test_tables_match_oracle(self):
+        # the bulk row build against the entry-at-a-time double loop
+        for k in (1, 2, 3):
+            for n in range(61):
+                assert _completion_tables(n, k) == oracles.completion_tables(n, k), (n, k)
+        assert _completion_tables(400, 2) == oracles.completion_tables(400, 2)
+
+    def test_unrank_matches_oracle_walk(self):
+        # rank counted from below against the top-down walk with its index
+        # flips, at both ends and at seeded random ranks; rank inverts both
+        rng = random.Random(20)
+        for n, k in ((400, 2), (150, 3), (60, 4)):
+            tables = oracles.completion_tables(n, k)
+            total = count_multipartitions(n, k)
+            for i in [0, total - 1] + [rng.randrange(total) for _ in range(300)]:
+                got = unrank_multipartition(n, k, i)
+                assert got.as_tuples() == oracles.unrank_multipartition(n, k, i, tables), (n, k, i)
+                assert rank_multipartition(got) == i
 
     def test_set_equality_8_2(self):
         total = count_multipartitions(8, 2)

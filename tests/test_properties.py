@@ -34,8 +34,8 @@ SETTINGS = settings(deadline=None, max_examples=150)
 
 
 @st.composite
-def ranked(draw):
-    n, k = draw(SIZES), draw(KS)
+def ranked(draw, sizes=SIZES):
+    n, k = draw(sizes), draw(KS)
     return n, k, draw(st.integers(min_value=0, max_value=count_multipartitions(n, k) - 1))
 
 
@@ -44,6 +44,15 @@ def ranked(draw):
 def test_rank_inverts_unrank(nki):
     n, k, i = nki
     assert rank_multipartition(unrank_multipartition(n, k, i)) == i
+
+
+@settings(deadline=None, max_examples=40)
+@given(ranked(st.integers(min_value=0, max_value=200)))
+def test_unrank_matches_oracle_walk(nki):
+    n, k, i = nki
+    drawn = unrank_multipartition(n, k, i)
+    assert drawn.as_tuples() == oracles.unrank_multipartition(n, k, i)
+    assert rank_multipartition(drawn) == i
 
 
 def _lower(m, k):

@@ -21,6 +21,8 @@ from wreathchar.stats import (
 )
 from wreathchar.weyl_d import dn_restricted_census
 
+import oracles
+
 Z2 = builtin("Z2")
 TRIVIAL = builtin("trivial")
 
@@ -208,6 +210,8 @@ class TestPinnedSamples:
         # the seed-1 answers the benchmark's sampled-census and dn-sampled gates pin
         assert sampled_census(Z2, 24, 2, 1000, seed=1).divisible_count == 903
         assert dn_restricted_census(20, 3, "sampled", 2000, 1).divisible_count == 1359
+        # cert-census: draws from 218-bit table entries and long runs of repeated parts
+        assert certificate_census(2, 2000, 2, 1000, seed=1).divisible_count == 462
 
     def test_worker_count_invariant(self):
         S3 = builtin("S3")
@@ -247,6 +251,18 @@ class TestConcentration:
         # n=4, k=2, delta=1/2: window (1,3), sizes must be exactly 2
         want = Fraction(count_partitions(2) ** 2, count_multipartitions(4, 2))
         assert concentration_check(2, 4, Fraction(1, 2)) == want
+
+    def test_matches_recursion(self):
+        for k in (1, 2, 3, 4):
+            for n in (0, 1, 2, 5, 13, 30):
+                for delta in (Fraction(1, 10), Fraction(3, 10), Fraction(1, 2), Fraction(9, 10)):
+                    want = oracles.concentration_fraction(k, n, delta)
+                    assert concentration_check(k, n, delta) == want, (k, n, delta)
+
+    def test_polynomial_in_k(self):
+        # the recursion over size compositions is O(n^(k-1)); this is O(k n^2)
+        frac = concentration_check(6, 150, Fraction(9, 10))
+        assert 0 < frac < 1
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
