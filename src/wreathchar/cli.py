@@ -76,10 +76,12 @@ def _resolve_group(args):
 
 
 def _resolve_seed(args) -> int:
+    # a given seed is passed on as it is: the census rejects one outside
+    # [0, 2**64) (exit 2) rather than drawing another seed's samples
     seed = getattr(args, "seed", None)
     if seed is None:
         seed = int.from_bytes(os.urandom(8), "big")
-    return seed & ((1 << 64) - 1)
+    return seed
 
 
 def _config_echo(args, **extra) -> dict:
@@ -285,7 +287,7 @@ def _add_group_args(sub):
 def _add_common(sub, seed=False, samples=False, workers=False, budget=False):
     sub.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
     if seed:
-        sub.add_argument("--seed", type=int, help="64-bit seed; random (and echoed) if omitted")
+        sub.add_argument("--seed", type=int, help="seed in [0, 2**64); random (and echoed) if omitted")
     if samples:
         sub.add_argument("--samples", type=int, required=samples == "required", help="sample count")
     if workers:

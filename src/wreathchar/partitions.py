@@ -19,10 +19,11 @@ same order, so ``unrank`` is the inverse of ``rank`` by construction.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import accumulate, chain
 from math import factorial
+from operator import sub
 from typing import Iterator, NamedTuple
 
 
@@ -372,35 +373,56 @@ def dominates(a: MultiPartition, b: MultiPartition) -> bool:
 # the next part equals b.  For b > m/2 the term is the diagonal T_t[j][j] with
 # j = m - b, and the diagonal is p_{t+1}(j): with the current component
 # unrestricted, the t + 1 components left make a (t+1)-multipartition of j.
-# So each row is one running sum over the base entry, the entries T_t[m-b][b]
-# of earlier rows for b <= m/2, and a reversed slice of the p_{t+1} array.
+# Summing those terms down from T_t[m][m] = p_{t+1}(m) gives the closed form
+#
+#     T_t[m][b] = p_{t+1}(m) - cum[m - b]   for m // 2 <= b <= m,
+#
+# with cum[j] = p_{t+1}(0) + ... + p_{t+1}(j - 1).  So a table is the triple
+# (rows, p_{t+1} array, cum), and row m stores only b <= m // 2, m // 2 + 1
+# entries: half the bigints of full rows.  Each row is one running sum over
+# the base entry and the terms T_t[m-b][b] for 1 <= b <= m // 2.  For
+# b <= m // 3 the term is stored in row m - b; for m // 3 < b <= m // 2 it
+# lies in the closed-form half of row m - b, p_{t+1}(m-b) - cum[m-2b].
 #
 # Rows are increasing in b, and the subtree below "next part s" holds the
-# ranks [row[s-1], row[s]) counted from its bottom (the block of "close the
-# component" is row[0], last in descending order).  The walk carries
+# ranks [T_t[m][s-1], T_t[m][s]) counted from its bottom (the block of "close
+# the component" is T_t[m][0], last in descending order).  The walk carries
 # r = p_k(n) - 1 - index, the rank from the bottom of the current subtree:
-# taking part s subtracts row[s-1], and closing a component keeps r, since
-# row[0] = p_t(m) is the corner T_{t-1}[m][m] of the next table.  The rank is
-# the same sum read back.  Only the tables of the latest (n, k) stay in
-# memory: a census uses one (n, k), and at n in the thousands the tables take
-# hundreds of MB.
+# taking part s subtracts T_t[m][s-1], and closing a component keeps r, since
+# T_t[m][0] = p_t(m) is the corner T_{t-1}[m][m] of the next table.  The walk
+# has two branches.  When 2s <= m + 2, T_t[m][s-1] is stored: a repeat of s
+# is one comparison, and any other next part is a bisect of row[0:s-1].  (The
+# walk keeps low = 2s - 2, updated only when s changes, so telling the
+# branches apart costs one comparison m < low per part.)  When part s lies
+# above the stored half (always so at the start of a component, where
+# s = m > 2), the row's last entry T_t[m][m//2] decides: if r is below it,
+# the next part is a bisect of the stored row; if not, the next part lies
+# above the stored half too, and it is m - j + 1 for the smallest j with
+# cum[j] >= p_{t+1}(m) - r, a bisect of cum.  That bisect needs no bound
+# from s, since r < T_t[m][min(s, m)] holds all along the walk.  The rank
+# is the same sum read back.  Only the tables of the latest (n, k) stay in memory: a
+# census uses one (n, k), and at n = 2000, k = 2 the tables take about
+# 120 MiB.
 
 
 @lru_cache(maxsize=1)
-def _completion_tables(n: int, k: int) -> list[list[list[int]]]:
+def _completion_tables(n: int, k: int) -> list[tuple[list[list[int]], list[int], list[int]]]:
     tables = []
     for t in range(k):
         base = _count_array(n, t)
         diagonal = _count_array(n, t + 1)
-        tab: list[list[int]] = []
+        cum = [0, *accumulate(diagonal[:n])]
+        rows: list[list[int]] = []
         for m in range(n + 1):
-            h = m // 2
-            tab.append(list(accumulate(chain(
+            h, third = m // 2, m // 3
+            # at m = 0 the diagonal slice is empty and ends the map
+            rows.append(list(accumulate(chain(
                 (base[m],),
-                map(list.__getitem__, reversed(tab[m - h:]), range(1, h + 1)),
-                reversed(diagonal[: m - h]),
+                map(list.__getitem__, reversed(rows[m - third:]), range(1, third + 1)),
+                map(sub, reversed(diagonal[m - h : m - third]),
+                    reversed(cum[m - 2 * h : m - 2 * third - 1 : 2])),
             ))))
-        tables.append(tab)
+        tables.append((rows, diagonal, cum))
     return tables
 
 
@@ -409,23 +431,36 @@ def unrank_multipartition(n: int, k: int, index: int) -> MultiPartition:
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
     tables = _completion_tables(n, k)
-    total = tables[k - 1][n][n]  # p_k(n)
+    total = tables[-1][1][n]  # p_k(n)
     if not 0 <= index < total:
         raise IndexError(f"index {index} out of range [0, {total})")
     r = total - 1 - index
     comps = []
     m = n
-    for tab in reversed(tables):
+    for rows, diagonal, cum in reversed(tables):
         parts = []
         s = m
+        low = 2 * s - 2  # rows m < low store no entry for part s
         while m:
-            row = tab[m]
-            if s > m:
-                s = m
-            if r < row[s - 1]:  # the next part is not a repeat of s
+            row = rows[m]
+            if m < low:  # part s lies above the stored half of row m
+                if r >= row[-1]:  # so does the next part: bisect cum instead
+                    j = bisect_left(cum, diagonal[m] - r, 1, m - m // 2)
+                    r -= diagonal[m] - cum[j]
+                    s = m - j + 1
+                    low = 2 * s - 2
+                    parts.append(s)
+                    m -= s
+                    continue
+                s = bisect_right(row, r)
+                if not s:
+                    break
+                low = 2 * s - 2
+            elif r < row[s - 1]:  # the next part is not a repeat of s
                 s = bisect_right(row, r, 0, s - 1)
                 if not s:
                     break
+                low = 2 * s - 2
             r -= row[s - 1]
             parts.append(s)
             m -= s
@@ -439,8 +474,8 @@ def rank_multipartition(mp: MultiPartition) -> int:
     tables = _completion_tables(n, k)
     r = 0
     m = n
-    for tab, comp in zip(reversed(tables), mp.components):
+    for (rows, diagonal, cum), comp in zip(reversed(tables), mp.components):
         for s in comp.parts:
-            r += tab[m][s - 1]
+            r += rows[m][s - 1] if 2 * s <= m + 2 else diagonal[m] - cum[m - s + 1]
             m -= s
-    return tables[k - 1][n][n] - 1 - r
+    return tables[-1][1][n] - 1 - r

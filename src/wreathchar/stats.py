@@ -22,6 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 from statistics import NormalDist
 from typing import Optional
 
@@ -191,13 +192,8 @@ def exact_census(
     """Build the full table and count entries divisible by p (exact rational)."""
     require_prime(p)
     table = character_table(group, n, cell_budget=cell_budget, workers=workers)
-    cells = 0
-    divisible = 0
-    for row in table.values:
-        for v in row:
-            cells += 1
-            if v % p == 0:
-                divisible += 1
+    cells = sum(map(len, table.values))
+    divisible = sum(list(map(operator.mod, row, repeat(p))).count(0) for row in table.values)
     return CensusReport(
         mode="exact",
         group=group.name,
@@ -246,6 +242,13 @@ def _check_confidence(confidence: float) -> None:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
 
 
+def _check_seed(seed: int) -> None:
+    # the stream keys on 8 seed bytes; a seed outside them would draw the
+    # samples of another seed while reporting its own
+    if not isinstance(seed, int) or not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
 def sampled_census(
     group: GroupData,
     n: int,
@@ -263,6 +266,7 @@ def sampled_census(
     require_prime(p)
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    _check_seed(seed)
     _check_confidence(confidence)
     _completion_tables(n, group.k)  # built before any fork, shared by workers
     hits = _census_hits(
@@ -300,6 +304,7 @@ def certificate_census(
         raise ValueError("group_k must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    _check_seed(seed)
     _completion_tables(n, group_k)
     hits = _census_hits(partial(_draw_pair, n, group_k, seed), partial(_certified, p), samples, workers)
     frac = Fraction(hits, samples)

@@ -32,7 +32,7 @@ from .stats import (
     random_multipartition,
     wilson_interval,
 )
-from .stats import _census_hits, _check_confidence, _divisible
+from .stats import _census_hits, _check_confidence, _check_seed, _divisible
 from .wreath_chars import DEFAULT_CELL_BUDGET, CellBudgetExceeded, character_column
 
 
@@ -181,6 +181,7 @@ def dn_restricted_census(
         raise ValueError("sampled mode needs samples and seed")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    _check_seed(seed)
     _check_confidence(confidence)
     hits = _census_hits(partial(_draw_dn_cell, n, seed), partial(_divisible, group, p), samples)
     low, high = wilson_interval(hits, samples, confidence)

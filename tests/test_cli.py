@@ -203,6 +203,36 @@ class TestCensuses:
         assert out == ""
         assert err == f"error: {flag} applies only to --mode sampled\n"
 
+    @pytest.mark.parametrize("seed", [str(-1), str(2**64), str(2**64 + 1)])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample-census", "--group", "Z2", "--n", "6", "--p", "2", "--samples", "10"),
+            ("cert-census", "--k", "2", "--n", "40", "--p", "2", "--samples", "10"),
+            ("dn-census", "--n", "6", "--p", "3", "--mode", "sampled", "--samples", "10"),
+        ],
+    )
+    def test_seed_out_of_range_exits_2(self, capsys, argv, seed):
+        # a seed is never wrapped into [0, 2**64): -1 is not 2**64 - 1
+        code, out, err = run(capsys, *argv, "--seed", seed)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: seed must be an integer in [0, 2**64), got {seed}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample-census", "--group", "Z2", "--n", "6", "--p", "2", "--samples", "10"),
+            ("cert-census", "--k", "2", "--n", "40", "--p", "2", "--samples", "10"),
+            ("dn-census", "--n", "6", "--p", "3", "--mode", "sampled", "--samples", "10"),
+        ],
+    )
+    def test_top_seed_is_echoed(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--seed", str(2**64 - 1))
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["seed"] == doc["config"]["seed"] == 2**64 - 1
+
     @pytest.mark.parametrize("confidence", ["0", "1", "1.5"])
     @pytest.mark.parametrize(
         "argv",

@@ -271,6 +271,21 @@ class TestDominance:
                     assert not dominates(b, a)
 
 
+def _full_rows(table, n):
+    """The full rows T_t[m][0..m] of one half-stored completion table: the
+    stored entries for b <= m // 2, the closed form p_{t+1}(m) - cum[m - b]
+    for b >= m // 2 (both at b = m // 2, where they must agree)."""
+    rows, diagonal, cum = table
+    full = []
+    for m in range(n + 1):
+        row, h = rows[m], m // 2
+        assert len(row) == h + 1, (m, len(row))
+        closed = [diagonal[m] - cum[m - b] for b in range(h, m + 1)]
+        assert closed[0] == row[h], m
+        full.append(row[:h] + closed)
+    return full
+
+
 class TestUnranking:
     def test_2_2_order(self):
         want = [
@@ -324,17 +339,29 @@ class TestUnranking:
             unrank_multipartition(3, 0, 0)
 
     def test_tables_corner_is_count(self):
-        # unranking reads p_k(n) off the completion tables instead of recounting
+        # unranking reads p_k(n) off the completion tables instead of
+        # recounting; every table's corners T_t[n][0] = p_t(n) and
+        # T_t[n][n] = p_{t+1}(n), stored or closed form, match the oracle
         for k in (1, 2, 3):
             for n in range(40):
-                assert _completion_tables(n, k)[k - 1][n][n] == count_multipartitions(n, k)
+                tables = _completion_tables(n, k)
+                assert tables[-1][1][n] == count_multipartitions(n, k)
+                oracle = oracles.completion_tables(n, k)
+                for t, table in enumerate(tables):
+                    full = _full_rows(table, n)
+                    assert full[n][0] == oracle[t][n][0] == (count_multipartitions(n, t) if t else int(n == 0))
+                    assert full[n][n] == oracle[t][n][n] == count_multipartitions(n, t + 1)
 
     def test_tables_match_oracle(self):
-        # the bulk row build against the entry-at-a-time double loop
+        # every entry T_t[m][b], 0 <= b <= m, stored (b <= m // 2) or read
+        # from the closed form (b >= m // 2), against the entry-at-a-time
+        # double loop
         for k in (1, 2, 3):
             for n in range(61):
-                assert _completion_tables(n, k) == oracles.completion_tables(n, k), (n, k)
-        assert _completion_tables(400, 2) == oracles.completion_tables(400, 2)
+                got = [_full_rows(table, n) for table in _completion_tables(n, k)]
+                assert got == oracles.completion_tables(n, k), (n, k)
+        got = [_full_rows(table, 400) for table in _completion_tables(400, 2)]
+        assert got == oracles.completion_tables(400, 2)
 
     def test_unrank_matches_oracle_walk(self):
         # rank counted from below against the top-down walk with its index
@@ -347,6 +374,18 @@ class TestUnranking:
                 got = unrank_multipartition(n, k, i)
                 assert got.as_tuples() == oracles.unrank_multipartition(n, k, i, tables), (n, k, i)
                 assert rank_multipartition(got) == i
+
+    def test_unrank_matches_oracle_exhaustive(self):
+        # every rank for n <= 14, k <= 3: covers the stored branch and both
+        # closed-form branches of the walk (a next part in the stored half
+        # and one above it), and rank reads the same entries back
+        for k in (1, 2, 3):
+            for n in range(15):
+                tables = oracles.completion_tables(n, k)
+                for i in range(count_multipartitions(n, k)):
+                    got = unrank_multipartition(n, k, i)
+                    assert got.as_tuples() == oracles.unrank_multipartition(n, k, i, tables), (n, k, i)
+                    assert rank_multipartition(got) == i
 
     def test_set_equality_8_2(self):
         total = count_multipartitions(8, 2)

@@ -157,8 +157,18 @@ class TestSampledCensus:
         r = sampled_census(Z2, 8, 2, samples=10_000, seed=1)
         assert r.ci_low <= exact <= r.ci_high
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            sampled_census(Z2, 6, 2, samples=10, seed=seed)
+
 
 class TestCertificateCensus:
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            certificate_census(2, 30, 2, samples=50, seed=seed)
+
     def test_n1_coverage_zero(self):
         for p in (2, 3):
             r = certificate_census(2, 1, p, samples=50, seed=0)

@@ -160,6 +160,11 @@ class TestRestrictedCensus:
         with pytest.raises(ValueError):
             dn_restricted_census(6, 2, mode="sampled")
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_sampled_seed_out_of_range(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            dn_restricted_census(6, 2, mode="sampled", samples=10, seed=seed)
+
     def test_exact_matches_unreduced_census(self):
         primes = (2, 3, 5)
         for n in range(1, 13):
