@@ -44,11 +44,20 @@ _MASK64 = (1 << 64) - 1
 _DOMAIN = b"wreathchar.v1"
 
 
+def _check_key(name: str, value: int) -> None:
+    # the stream keys on 8 bytes each of seed and index; a value outside them
+    # would draw the samples of another key while reporting its own
+    if not isinstance(value, int) or not 0 <= value <= _MASK64:
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+
+
 class CounterStream:
     """Deterministic byte stream: block c is SHA-256(domain, seed, index, c)."""
 
     def __init__(self, seed: int, index: int):
-        self._prefix = _DOMAIN + (seed & _MASK64).to_bytes(8, "big") + (index & _MASK64).to_bytes(8, "big")
+        _check_key("seed", seed)
+        _check_key("index", index)
+        self._prefix = _DOMAIN + seed.to_bytes(8, "big") + index.to_bytes(8, "big")
         self._counter = 0
         self._buf = b""
 
@@ -242,13 +251,6 @@ def _check_confidence(confidence: float) -> None:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
 
 
-def _check_seed(seed: int) -> None:
-    # the stream keys on 8 seed bytes; a seed outside them would draw the
-    # samples of another seed while reporting its own
-    if not isinstance(seed, int) or not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-
-
 def sampled_census(
     group: GroupData,
     n: int,
@@ -266,7 +268,7 @@ def sampled_census(
     require_prime(p)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    _check_seed(seed)
+    _check_key("seed", seed)
     _check_confidence(confidence)
     _completion_tables(n, group.k)  # built before any fork, shared by workers
     hits = _census_hits(
@@ -304,7 +306,7 @@ def certificate_census(
         raise ValueError("group_k must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    _check_seed(seed)
+    _check_key("seed", seed)
     _completion_tables(n, group_k)
     hits = _census_hits(partial(_draw_pair, n, group_k, seed), partial(_certified, p), samples, workers)
     frac = Fraction(hits, samples)

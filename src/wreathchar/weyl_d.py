@@ -32,8 +32,8 @@ from .stats import (
     random_multipartition,
     wilson_interval,
 )
-from .stats import _census_hits, _check_confidence, _check_seed, _divisible
-from .wreath_chars import DEFAULT_CELL_BUDGET, CellBudgetExceeded, character_column
+from .stats import _census_hits, _check_confidence, _check_key, _divisible
+from .wreath_chars import DEFAULT_CELL_BUDGET, CellBudgetExceeded, _step_tables, character_column
 
 
 def bn_class_in_dn(mu: MultiPartition) -> bool:
@@ -162,9 +162,12 @@ def dn_restricted_census(
         position = {lam: i for i, lam in enumerate(multipartitions_of(n, 2))}
         row_positions = [position[lam] for lam in rows]
         hits = 0
-        for canon, weight in weights.items():
-            col = character_column(group, n, canon)
-            hits += weight * sum(1 for r in row_positions if col[r] % p == 0)
+        try:
+            for canon, weight in weights.items():
+                col = character_column(group, n, canon)
+                hits += weight * sum(1 for r in row_positions if col[r] % p == 0)
+        finally:
+            _step_tables.cache_clear()
         return CensusReport(
             mode="dn-exact",
             group="D",
@@ -181,7 +184,7 @@ def dn_restricted_census(
         raise ValueError("sampled mode needs samples and seed")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    _check_seed(seed)
+    _check_key("seed", seed)
     _check_confidence(confidence)
     hits = _census_hits(partial(_draw_dn_cell, n, seed), partial(_divisible, group, p), samples)
     low, high = wilson_interval(hits, samples, confidence)

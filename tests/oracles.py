@@ -73,6 +73,17 @@ def brute_strip_removals(parts, length):
     return found
 
 
+def component_major_sequence(mu):
+    """The (length, class) pairs of mu component by component, longest part
+    first within each component: a fixed peel order for brute_mn_value that
+    does not come from the package."""
+    seq = []
+    for j, comp in enumerate(mu):
+        for length in sorted(comp, reverse=True):
+            seq.append((length, j))
+    return tuple(seq)
+
+
 def brute_mn_value(table, lam, seq):
     """Unmemoized rimhook-peeling recursion using the cell-set strip oracle."""
     if not seq:

@@ -22,7 +22,7 @@ from wreathchar.partitions import (
     unrank_multipartition,
 )
 from wreathchar.stats import CounterStream, random_multipartition
-from wreathchar.wreath_chars import _mn_beads, flatten_class, mn_character
+from wreathchar.wreath_chars import _mn_beads, mn_character
 
 import oracles
 
@@ -189,7 +189,8 @@ def small_cells(draw):
 @given(small_cells())
 def test_mn_character_matches_brute_peeling(cell):
     group, lam, mu = cell
-    want = oracles.brute_mn_value(group.table, lam.as_tuples(), flatten_class(mu.as_tuples()))
+    seq = oracles.component_major_sequence(mu.as_tuples())
+    want = oracles.brute_mn_value(group.table, lam.as_tuples(), seq)
     assert mn_character(group, lam, mu) == want
 
 

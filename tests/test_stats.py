@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -53,6 +54,24 @@ class TestCounterStream:
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             CounterStream(0, 0).below(0)
+
+    @pytest.mark.parametrize("value", [-1, 2**64])
+    def test_key_out_of_range(self, value):
+        with pytest.raises(ValueError, match="seed"):
+            CounterStream(value, 0)
+        with pytest.raises(ValueError, match="index"):
+            CounterStream(0, value)
+
+    def test_key_not_an_int(self):
+        with pytest.raises(ValueError, match="seed"):
+            CounterStream(1.0, 0)
+        with pytest.raises(ValueError, match="index"):
+            CounterStream(0, "1")
+
+    def test_top_key_is_its_own_block(self):
+        top = 2**64 - 1
+        want = hashlib.sha256(b"wreathchar.v1" + top.to_bytes(8, "big") * 2 + bytes(8)).digest()
+        assert CounterStream(top, top).take(32) == want
 
 
 class TestRandomMultipartition:

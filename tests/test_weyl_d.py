@@ -4,6 +4,7 @@ import pytest
 
 from wreathchar.base_group import builtin
 from wreathchar.partitions import MultiPartition, count_partitions, multipartitions_of
+from wreathchar import weyl_d
 from wreathchar.weyl_d import (
     _dn_column_count,
     bn_class_in_dn,
@@ -13,7 +14,7 @@ from wreathchar.weyl_d import (
     nonsplit_rows,
     psi_value,
 )
-from wreathchar.wreath_chars import character_table
+from wreathchar.wreath_chars import _step_tables, character_table
 
 import oracles
 
@@ -172,6 +173,23 @@ class TestRestrictedCensus:
             for p in primes:
                 r = dn_restricted_census(n, p, mode="exact")
                 assert (r.divisible_count, r.cells_evaluated) == (hits[p], cells), (n, p)
+
+    def test_exact_drops_step_tables(self, monkeypatch):
+        dn_restricted_census(10, 3, mode="exact")
+        assert _step_tables.cache_info().currsize == 0
+        real = weyl_d.character_column
+        calls = []
+
+        def fail_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("column failed")
+            return real(*args)
+
+        monkeypatch.setattr(weyl_d, "character_column", fail_second)
+        with pytest.raises(RuntimeError, match="column failed"):
+            dn_restricted_census(10, 3, mode="exact")
+        assert _step_tables.cache_info().currsize == 0
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):

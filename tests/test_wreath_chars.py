@@ -100,22 +100,33 @@ class TestMnCharacter:
                 for lam in mps(n, g.k):
                     for mu in mps(n, g.k):
                         want = oracles.brute_mn_value(
-                            g.table, lam.as_tuples(), flatten_class(mu.as_tuples())
+                            g.table, lam.as_tuples(), oracles.component_major_sequence(mu.as_tuples())
                         )
                         assert mn_character(g, lam, mu) == want
 
     def test_order_independence(self):
-        rng = random.Random(5)
-        for n in range(2, 7):
-            labels = mps(n, 2)
-            for _ in range(6):
-                lam = rng.choice(labels)
-                mu = rng.choice(labels)
-                seq = list(flatten_class(mu.as_tuples()))
-                rng.shuffle(seq)
-                masks = tuple(_beta_mask(comp) for comp in lam.as_tuples())
-                shuffled = _mn_beads(masks, 0, tuple(seq), Z2.table, {})
-                assert shuffled == mn_character(Z2, lam, mu)
+        for name in BUILTIN_NAMES:
+            g = builtin(name)
+            rng = random.Random(5)
+            for n in range(2, COLUMN_ORACLE_N[name] + 1):
+                labels = mps(n, g.k)
+                for _ in range(6):
+                    lam = rng.choice(labels)
+                    mu = rng.choice(labels)
+                    seq = list(flatten_class(mu.as_tuples()))
+                    rng.shuffle(seq)
+                    masks = tuple(_beta_mask(comp) for comp in lam.as_tuples())
+                    shuffled = _mn_beads(masks, 0, tuple(seq), g.table, {})
+                    assert shuffled == mn_character(g, lam, mu)
+
+    def test_flatten_class_is_longest_first(self):
+        for g in (TRIVIAL, Z2, S3):
+            for n in range(7):
+                for mu in multipartitions_of(n, g.k):
+                    seq = flatten_class(mu)
+                    lengths = [length for length, _ in seq]
+                    assert lengths == sorted(lengths, reverse=True)
+                    assert sorted(seq) == sorted(oracles.component_major_sequence(mu))
 
     def test_rejects_mismatch(self):
         with pytest.raises(ValueError):
