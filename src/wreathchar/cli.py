@@ -14,10 +14,9 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .base_group import BUILTIN_NAMES, GroupValidationError, builtin, load, store, validate
+from .base_group import BUILTIN_NAMES, GroupValidationError, builtin, load, store
 from .congruence import mash_canonical, sim_p_equivalent
 from .partitions import MultiPartition
 from .stats import (

@@ -4,19 +4,21 @@ certificate it powers.
 Two class labels related by trading one part mp for p parts m have congruent
 character-table columns mod p.  Canonical forms merge maximally: within each
 component, p equal parts of size m become one part of size mp until no part
-repeats p or more times.  If every component of lambda is a t-core for t the
-largest part of the canonical form, the rimhook sum for the canonical column
-is empty, so the exact value there is zero and the original entry is
-divisible by p.  The certificate is sound but deliberately not complete.
+repeats p or more times.  Merging keeps, for each p-free b, the total size of
+the parts b, bp, bp^2, ... (its p-free mass), so the canonical multiplicity
+of b p^e is the e-th base-p digit of that mass divided by b.  If every
+component of lambda is a t-core for t the largest part of the canonical form,
+the rimhook sum for the canonical column is empty, so the exact value there
+is zero and the original entry is divisible by p.  The certificate is sound
+but deliberately not complete.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from collections import Counter
 from dataclasses import dataclass
 
 from .partitions import MultiPartition, is_t_core
+from .wreath_chars import _check_query
 
 
 def is_prime(p: int) -> bool:
@@ -50,25 +52,21 @@ class MashedClass:
 
 
 def _mash_component(parts: tuple[int, ...], p: int) -> tuple[int, ...]:
-    # Base-p carry on the multiplicity vector: sizes processed in increasing
-    # order, so each size is finalized exactly once (carries land at s*p > s).
-    sizes = Counter(parts)
-    order = sorted(sizes)
+    # the parts b p^e of one p-free b merge only with each other, keeping
+    # their mass; the base-p digits of mass / b are the canonical counts
+    mass: dict = {}
+    for part in parts:
+        b = part
+        while not b % p:
+            b //= p
+        mass[b] = mass.get(b, 0) + part
     out = []
-    i = 0
-    while i < len(order):
-        s = order[i]
-        i += 1
-        c = sizes[s]
-        r, q = c % p, c // p
-        out.extend([s] * r)
-        if q:
-            t = s * p
-            if t in sizes:
-                sizes[t] += q
-            else:
-                sizes[t] = q
-                insort(order, t)
+    for b, total in mass.items():
+        digits = total // b
+        while digits:
+            digits, count = divmod(digits, p)
+            out += [b] * count
+            b *= p
     out.sort(reverse=True)
     return tuple(out)
 
@@ -111,8 +109,5 @@ def zero_certificate(lam: MultiPartition, mashed: MashedClass) -> bool:
 
 def predicted_divisible(group, lam: MultiPartition, mu: MultiPartition, p: int) -> bool:
     """Sound one-sided test: True implies p divides chi^lambda_mu."""
-    if lam.k != group.k or mu.k != group.k:
-        raise ValueError(f"multipartitions must have k={group.k} components")
-    if lam.total != mu.total:
-        raise ValueError(f"totals differ: {lam.total} vs {mu.total}")
+    _check_query(group, lam, mu)
     return zero_certificate(lam, mash_canonical(mu, p))

@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -35,7 +34,7 @@ from .partitions import (
     count_multipartitions,
     unrank_multipartition,
 )
-from .wreath_chars import DEFAULT_CELL_BUDGET, _check_workers, character_table, mn_character
+from .wreath_chars import DEFAULT_CELL_BUDGET, _check_workers, _pool_map, character_table, mn_character
 
 HR_COEFF = 2.0 * math.pi / math.sqrt(6.0)
 DEFAULT_CONFIDENCE = 0.99
@@ -202,7 +201,7 @@ def exact_census(
     require_prime(p)
     table = character_table(group, n, cell_budget=cell_budget, workers=workers)
     cells = sum(map(len, table.values))
-    divisible = sum(list(map(operator.mod, row, repeat(p))).count(0) for row in table.values)
+    divisible = sum(_zeros_mod(row, p) for row in table.values)
     return CensusReport(
         mode="exact",
         group=group.name,
@@ -212,6 +211,11 @@ def exact_census(
         divisible_count=divisible,
         proportion=Fraction(divisible, cells),
     )
+
+
+def _zeros_mod(values, p: int) -> int:
+    """How many of values p divides, counted in C."""
+    return list(map(operator.mod, values, repeat(p))).count(0)
 
 
 def _draw_pair(n: int, k: int, seed: int, index: int):
@@ -230,8 +234,8 @@ def _certified(p: int, lam: MultiPartition, mu: MultiPartition) -> bool:
     return zero_certificate(lam, mash_canonical(mu, p))
 
 
-def _count_hits(draw, test, indices: range) -> int:
-    return sum(1 for i in indices if test(*draw(i)))
+def _hit(draw, test, index: int) -> bool:
+    return test(*draw(index))
 
 
 def _census_hits(draw, test, samples: int, workers: int = 1) -> int:
@@ -239,11 +243,7 @@ def _census_hits(draw, test, samples: int, workers: int = 1) -> int:
     of every sampled census.  draw(i) depends only on i, so the count is the
     same for any worker count; draw and test must be picklable for workers > 1."""
     _check_workers(workers)
-    if workers == 1:
-        return _count_hits(draw, test, range(samples))
-    chunks = [range(a, b) for a, b in _chunk_bounds(samples, workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(partial(_count_hits, draw, test), chunks))
+    return sum(_pool_map(partial(_hit, draw, test), range(samples), workers))
 
 
 def _check_confidence(confidence: float) -> None:
@@ -322,11 +322,6 @@ def certificate_census(
         seed=seed,
         coverage=frac,
     )
-
-
-def _chunk_bounds(total: int, parts: int) -> list[tuple[int, int]]:
-    step = (total + parts - 1) // parts
-    return [(a, min(a + step, total)) for a in range(0, total, step)]
 
 
 # ---------------------------------------------------------------------------

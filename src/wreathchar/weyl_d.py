@@ -32,16 +32,14 @@ from .stats import (
     random_multipartition,
     wilson_interval,
 )
-from .stats import _census_hits, _check_confidence, _check_key, _divisible
-from .wreath_chars import DEFAULT_CELL_BUDGET, CellBudgetExceeded, _step_tables, character_column
+from .stats import _census_hits, _check_confidence, _check_key, _divisible, _zeros_mod
+from .wreath_chars import DEFAULT_CELL_BUDGET, CellBudgetExceeded, _columns
 
 
 def bn_class_in_dn(mu: MultiPartition) -> bool:
     """True iff the B_N class mu lies inside D_N: psi(mu) = (-1)^(#parts of
     mu_2) = 1, since each cycle with product -1 carries an odd sign count."""
-    if mu.k != 2:
-        raise ValueError("type D needs 2-multipartition labels")
-    return len(mu.components[1].parts) % 2 == 0
+    return psi_value(mu) == 1
 
 
 def psi_value(mu: MultiPartition) -> int:
@@ -162,12 +160,8 @@ def dn_restricted_census(
         position = {lam: i for i, lam in enumerate(multipartitions_of(n, 2))}
         row_positions = [position[lam] for lam in rows]
         hits = 0
-        try:
-            for canon, weight in weights.items():
-                col = character_column(group, n, canon)
-                hits += weight * sum(1 for r in row_positions if col[r] % p == 0)
-        finally:
-            _step_tables.cache_clear()
+        for col, weight in zip(_columns(group, n, list(weights)), weights.values()):
+            hits += weight * _zeros_mod(map(col.__getitem__, row_positions), p)
         return CensusReport(
             mode="dn-exact",
             group="D",

@@ -7,7 +7,10 @@ components of lambda; a hook placed in component q while consuming a part
 of mu_j contributes a factor table[q][j], and each decomposition is signed
 by (-1)^height.  A single cell runs the recursion on beta-sets held
 as ints (``_mn_beads``); a whole column runs it bottom-up over indexed
-peel steps (``character_column``).  Permutation-module values come from an
+peel steps (``character_column``).  ``_columns`` is the one column loop: it
+maps ``character_column`` over a process pool (``_pool_map``, also the
+sampled censuses' pool) and owns the peel-step tables, which it drops when
+its columns are done or one fails.  Permutation-module values come from an
 independent row-decomposition DP.  The two are linked by Kostka-product
 multiplicities, which the acceptance suite checks cell by cell.
 
@@ -20,9 +23,9 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
-from math import comb, factorial
+from math import factorial
 from typing import Iterable
 
 from .base_group import GroupData
@@ -156,7 +159,7 @@ def mn_character(group: GroupData, lam: MultiPartition, mu: MultiPartition) -> i
 # to those on the multipartitions of remaining.  Its moves depend only on
 # (remaining, length, k), never on the column, so a full table builds each
 # step once and every column reuses it.  Only the latest (n, k) is kept, and
-# character_table drops it once its columns are in.
+# _columns drops it once its columns are in or one of them fails.
 @lru_cache(maxsize=1)
 def _step_tables(n: int, k: int) -> dict:
     return {}
@@ -218,6 +221,25 @@ def character_column(group: GroupData, n: int, mu_tuples) -> list[int]:
             nxt.append(acc)
         values = nxt
     return values
+
+
+def _pool_map(fn, items, workers: int):
+    """fn over items, yielded in input order: serially, or through a process
+    pool that hands out contiguous chunks (fn and items must pickle)."""
+    if workers < 2 or len(items) < 2:
+        yield from map(fn, items)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers)))
+
+
+def _columns(group: GroupData, n: int, labels, workers: int = 1):
+    """character_column(group, n, mu) for each mu of labels, in order; the
+    peel-step tables are dropped once the columns are in or one fails."""
+    try:
+        yield from _pool_map(partial(character_column, group, n), labels, workers)
+    finally:
+        _step_tables.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +428,9 @@ def character_table(
             f"table needs {size}^2 = {size * size} cells, budget is {cell_budget}"
         )
     labels = multipartitions_of(n, group.k)
-    if workers > 1 and size > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunksize = max(1, size // (4 * workers))
-            columns = list(pool.map(character_column, repeat(group), repeat(n), labels, chunksize=chunksize))
-    else:
-        columns = [character_column(group, n, mu) for mu in labels]
     # the rows are assembled only after the step tables are gone, so the
     # peak memory holds one or the other
-    _step_tables.cache_clear()
+    columns = list(_columns(group, n, labels, workers))
     mps = tuple(MultiPartition.from_tuples(t) for t in labels)
     values = tuple(zip(*columns))
     sizes = tuple(class_size(group, mu) for mu in mps)

@@ -12,7 +12,8 @@ engine and so reads its columns from that engine.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_right, insort
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -259,6 +260,31 @@ def unreduced_dn_census(n, primes):
                 if value % p == 0:
                     hits[p] += 1
     return hits, len(rows) * len(cols)
+
+
+def mash_component_carry(parts, p):
+    """Canonical mod-p form of one component by the base-p carry on its
+    multiplicity vector: sizes in increasing order, p parts s carried to one
+    part sp, so each size is finalized once (carries land at sp > s)."""
+    sizes = Counter(parts)
+    order = sorted(sizes)
+    out = []
+    i = 0
+    while i < len(order):
+        s = order[i]
+        i += 1
+        c = sizes[s]
+        r, q = c % p, c // p
+        out.extend([s] * r)
+        if q:
+            t = s * p
+            if t in sizes:
+                sizes[t] += q
+            else:
+                sizes[t] = q
+                insort(order, t)
+    out.sort(reverse=True)
+    return tuple(out)
 
 
 def multipartition_count_array(n, t):

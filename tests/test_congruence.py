@@ -2,14 +2,17 @@ import pytest
 
 from wreathchar.base_group import BUILTIN_NAMES, builtin
 from wreathchar.congruence import (
+    _mash_component,
     is_prime,
     mash_canonical,
     predicted_divisible,
     sim_p_equivalent,
     zero_certificate,
 )
-from wreathchar.partitions import MultiPartition, multipartitions_of
+from wreathchar.partitions import MultiPartition, enumerate_partitions, multipartitions_of
 from wreathchar.wreath_chars import character_table, mn_character
+
+import oracles
 
 Z2 = builtin("Z2")
 TRIVIAL = builtin("trivial")
@@ -105,6 +108,12 @@ class TestMashCanonical:
                             w //= p
                             e += 1
                         assert all(exp < e for exp in digits)
+
+    def test_p_free_mass_matches_carry(self):
+        for n in range(0, 21):
+            for lam in enumerate_partitions(n):
+                for p in (2, 3, 5, 7):
+                    assert _mash_component(lam.parts, p) == oracles.mash_component_carry(lam.parts, p), (lam, p)
 
     def test_totals_preserved(self):
         mu = MultiPartition([[4, 2, 2, 1, 1, 1], [3, 3, 3]])

@@ -4,7 +4,7 @@ import pytest
 
 from wreathchar.base_group import builtin
 from wreathchar.partitions import MultiPartition, count_partitions, multipartitions_of
-from wreathchar import weyl_d
+from wreathchar import wreath_chars
 from wreathchar.weyl_d import (
     _dn_column_count,
     bn_class_in_dn,
@@ -177,7 +177,7 @@ class TestRestrictedCensus:
     def test_exact_drops_step_tables(self, monkeypatch):
         dn_restricted_census(10, 3, mode="exact")
         assert _step_tables.cache_info().currsize == 0
-        real = weyl_d.character_column
+        real = wreath_chars.character_column
         calls = []
 
         def fail_second(*args):
@@ -186,7 +186,7 @@ class TestRestrictedCensus:
                 raise RuntimeError("column failed")
             return real(*args)
 
-        monkeypatch.setattr(weyl_d, "character_column", fail_second)
+        monkeypatch.setattr(wreath_chars, "character_column", fail_second)
         with pytest.raises(RuntimeError, match="column failed"):
             dn_restricted_census(10, 3, mode="exact")
         assert _step_tables.cache_info().currsize == 0

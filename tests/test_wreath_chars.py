@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from wreathchar import wreath_chars
 from wreathchar.base_group import BUILTIN_NAMES, GroupData, builtin
 from wreathchar.cli import _parse_label
 from wreathchar.partitions import (
@@ -335,6 +336,22 @@ class TestCharacterTable:
         for workers in (1, 2):
             character_table(S3, 3, workers=workers)
             assert _step_tables.cache_info().currsize == 0
+
+    def test_step_tables_dropped_when_a_column_fails(self, monkeypatch):
+        real = wreath_chars.character_column
+        calls = []
+
+        def fail_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("column failed")
+            return real(*args)
+
+        monkeypatch.setattr(wreath_chars, "character_column", fail_second)
+        with pytest.raises(RuntimeError, match="column failed"):
+            character_table(Z2, 4)
+        assert len(calls) == 2
+        assert _step_tables.cache_info().currsize == 0
 
     def test_orthogonality_small(self):
         # k = 3 goes up to n = 4; the k <= 2 sweep to n = 5 is in acceptance
