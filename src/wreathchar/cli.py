@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from . import __version__
 from .base_group import BUILTIN_NAMES, GroupValidationError, builtin, load, store
@@ -95,11 +95,9 @@ def _config_echo(args, **extra) -> dict:
 
 def _emit(args, payload: dict, csv_columns=None, csv_values=None):
     if args.format == "csv" and csv_columns is not None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(csv_columns)
         writer.writerow(csv_values)
-        sys.stdout.write(buf.getvalue())
     else:
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -132,19 +130,14 @@ def _cmd_entry(args) -> int:
 def _cmd_table(args) -> int:
     group = _resolve_group(args)
     table = character_table(group, args.n, cell_budget=args.budget, workers=args.workers)
-    if args.format == "csv":
-        text_io = io.StringIO()
-        table.write_csv(text_io)
-        text = text_io.getvalue()
-    else:
-        payload = table.to_json_dict()
-        payload["config"] = _config_echo(args)
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    dest = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    with dest as fh:
+        if args.format == "csv":
+            table.write_csv(fh)
+        else:
+            payload = table.to_json_dict()
+            payload["config"] = _config_echo(args)
+            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 
 

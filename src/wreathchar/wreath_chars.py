@@ -20,11 +20,11 @@ class j of G is column j.  All arithmetic is exact integer arithmetic.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import repeat
 from math import factorial
 from typing import Iterable
 
@@ -398,17 +398,25 @@ class CharTable:
         }
 
     def write_csv(self, fh):
-        import csv
-        import json
+        """Write the table to the text stream ``fh`` as CSV.
 
-        def encode(lab):
-            return json.dumps([list(p.parts) for p in lab.components], separators=(",", ":"))
-
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row_label", "col_label", "value"])
-        col_labels = [encode(mu) for mu in self.col_labels]
+        The header ``row_label,col_label,value`` comes first, then one line
+        per cell, row by row, every line ended by ``\\n``.  A label is its
+        compact JSON list of part lists, double-quoted exactly when it holds
+        a comma: ``[[3]]`` is written bare and ``"[[6,1],[4,1,1,1]]"``
+        quoted.  A label holds only digits, brackets and commas, so this is
+        ``csv.QUOTE_MINIMAL``.  Each row of the table is one ``fh.write``.
+        """
+        cols = [_csv_label(mu) + "," for mu in self.col_labels]
+        fh.write("row_label,col_label,value\n")
         for lab, row in zip(self.row_labels, self.values):
-            writer.writerows(zip(repeat(encode(lab)), col_labels, row))
+            pre = _csv_label(lab) + ","
+            fh.write("".join([f"{pre}{col}{v}\n" for col, v in zip(cols, row)]))
+
+
+def _csv_label(lab: MultiPartition) -> str:
+    text = json.dumps([list(p.parts) for p in lab.components], separators=(",", ":"))
+    return f'"{text}"' if "," in text else text
 
 
 def character_table(

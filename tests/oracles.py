@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: cell-set reasoning for border strips,
 unmemoized recursion for characters and for window counts, exhaustive
-assignment enumeration for row decompositions, backtracking for tableaux, and
-entry-at-a-time completion tables with the top-down unranking walk.  None of it shares code with
+assignment enumeration for row decompositions, backtracking for tableaux,
+entry-at-a-time completion tables with the top-down unranking walk, and one
+``csv.writer`` row per cell for the table CSV.  None of it shares code with
 the package internals beyond plain tuples, except ``unreduced_dn_census``,
 which checks a reduction of the type-D census rather than the character
 engine and so reads its columns from that engine.
@@ -11,7 +12,10 @@ engine and so reads its columns from that engine.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import json
 from bisect import bisect_right, insort
 from collections import Counter
 from fractions import Fraction
@@ -366,3 +370,20 @@ def concentration_fraction(k, n, delta):
         return sub
 
     return Fraction(rec(0, n), multipartition_count_array(n, k)[n])
+
+
+def reference_csv(table):
+    """A ``CharTable`` as CSV through ``csv.writer``, with one ``json.dumps``
+    per cell: the encoding ``CharTable.write_csv`` must reproduce byte for
+    byte."""
+
+    def encode(lab):
+        return json.dumps([list(p.parts) for p in lab.components], separators=(",", ":"))
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["row_label", "col_label", "value"])
+    for lab, row in zip(table.row_labels, table.values):
+        for mu, v in zip(table.col_labels, row):
+            writer.writerow([encode(lab), encode(mu), str(v)])
+    return buf.getvalue()

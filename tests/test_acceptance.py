@@ -5,7 +5,6 @@ Heavier than the unit tests (a couple of minutes end to end); every check is
 exact or seeded, nothing is tolerance-calibrated at runtime.
 """
 
-import json
 import time
 from fractions import Fraction
 from math import factorial
@@ -17,7 +16,6 @@ from wreathchar.cli import main as cli_main
 from wreathchar.congruence import mash_canonical, zero_certificate
 from wreathchar.partitions import (
     MultiPartition,
-    count_multipartitions,
     count_partitions,
     multipartitions_of,
 )
@@ -29,7 +27,6 @@ from wreathchar.stats import (
     sampled_census,
 )
 from wreathchar.weyl_d import (
-    bn_class_in_dn,
     dn_half_classes_property,
     dn_irrep_census,
     dn_restricted_census,

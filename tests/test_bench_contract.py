@@ -1,26 +1,37 @@
-"""The names the benchmark's tracer reads from the package.
+"""What the benchmark reads from the package.
 
 ``bench/tracing.py`` rebinds the callables it lists and reads two
 ``lru_cache`` infos; a name that a refactor removes makes its per-layer
 metrics read "absent" while every answer stays right.  These tests read the
-tracer's own tables, so they follow any rename made there.
+tracer's own tables, so they follow any rename made there.  The table CSV's
+toy digest in ``bench/workloads.py`` is checked here too, so that a change of
+the CSV bytes fails the unit tests and not only the benchmark's gate.
 """
 
+import hashlib
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+from wreathchar.cli import main
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracing")
 
 
 def test_traced_functions_resolve(tracing):
@@ -42,3 +53,10 @@ def test_cache_infos_read_by_the_tracer():
 
 def test_cli_holds_json():
     assert hasattr(importlib.import_module("wreathchar.cli"), "json")
+
+
+def test_table_csv_matches_the_toy_digest(capsys):
+    workload = _load("workloads").TOY_WORKLOADS["table-csv"]
+    assert main(workload.command(1)) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == workload.csv_sha256

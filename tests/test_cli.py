@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 import wreathchar
-from wreathchar.base_group import builtin, store
+from wreathchar.base_group import BUILTIN_NAMES, builtin, store
 from wreathchar.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, build_parser, main
+from wreathchar.wreath_chars import character_table
 
 
 def run(capsys, *argv):
@@ -73,6 +75,18 @@ class TestTable:
         lines = path.read_text().splitlines()
         assert lines[0] == "row_label,col_label,value"
         assert len(lines) == 1 + 25
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_csv_bytes_match_the_oracle(self, capsys, tmp_path, name):
+        # stdout and --out carry the same bytes at any worker count
+        for n in range(4):
+            want = oracles.reference_csv(character_table(builtin(name), n))
+            for workers in ("1", "4"):
+                argv = ("table", "--group", name, "--n", str(n), "--format", "csv", "--workers", workers)
+                assert run(capsys, *argv) == (EXIT_OK, want, "")
+                path = tmp_path / f"{n}-{workers}.csv"
+                assert run(capsys, *argv, "--out", str(path)) == (EXIT_OK, "", "")
+                assert path.read_bytes() == want.encode("ascii")
 
     def test_json_stdout(self, capsys):
         code, out, _ = run(capsys, "table", "--group", "Z2", "--n", "1")

@@ -9,7 +9,6 @@ from wreathchar.base_group import builtin
 from wreathchar.partitions import count_multipartitions, count_partitions, unrank_multipartition
 from wreathchar.stats import (
     CSV_COLUMNS,
-    CensusReport,
     CounterStream,
     asymptotic_check,
     certificate_census,

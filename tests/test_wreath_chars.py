@@ -383,6 +383,18 @@ class TestCharacterTable:
         assert len(lines) == 1 + 4  # 2x2 cells
         assert '"[[1],[]]"' in lines[1]
 
+    def test_csv_quotes_exactly_the_labels_with_a_comma(self):
+        t = character_table(builtin("trivial"), 3)
+        buf = StringIO()
+        t.write_csv(buf)
+        lines = buf.getvalue().split("\n")
+        assert lines[0] == "row_label,col_label,value"
+        assert lines[-1] == ""  # the last line ends in \n too
+        assert lines[1] == "[[3]],[[3]],1"
+        assert lines[2] == '[[3]],"[[2,1]]",1'
+        assert lines[4] == '"[[2,1]]",[[3]],-1'
+        assert len(lines) == 1 + 9 + 1
+
     def test_json_export(self):
         t = character_table(Z2, 1)
         doc = t.to_json_dict()
@@ -418,21 +430,6 @@ class TestCharacterColumn:
             character_column(Z2, -1, ((), ()))
 
 
-def _encode(lab):
-    return json.dumps([list(p.parts) for p in lab.components], separators=(",", ":"))
-
-
-def _reference_csv(t):
-    # one json.dumps per cell, the encoding write_csv must reproduce byte for byte
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["row_label", "col_label", "value"])
-    for lab, row in zip(t.row_labels, t.values):
-        for mu, v in zip(t.col_labels, row):
-            writer.writerow([_encode(lab), _encode(mu), str(v)])
-    return buf.getvalue()
-
-
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_csv_matches_per_cell_encoding(name):
     g = builtin(name)
@@ -441,7 +438,7 @@ def test_csv_matches_per_cell_encoding(name):
         buf = StringIO()
         t.write_csv(buf)
         text = buf.getvalue()
-        assert text == _reference_csv(t)
+        assert text == oracles.reference_csv(t)
         rows = list(csv.reader(StringIO(text)))[1:]
         cells = [(lam, mu, v) for lam, row in zip(t.row_labels, t.values) for mu, v in zip(t.col_labels, row)]
         assert len(rows) == len(cells)
