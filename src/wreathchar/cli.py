@@ -1,7 +1,8 @@
 """Command-line surface: every operation, reproducible machine-readable output.
 
 Exit codes: 0 ok, 2 usage/parse error, 3 cell budget exceeded, 4 group
-validation failure.  Every report embeds the artifact version and the fully
+validation failure, 141 (128 + SIGPIPE) when the reader closes stdout early,
+as ``| head`` does.  Every report embeds the artifact version and the fully
 resolved run configuration (including the seed), so identical configurations
 reproduce byte-identical output at any worker count.
 """
@@ -41,6 +42,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_VALIDATION = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 
 class UsageError(ValueError):
@@ -255,15 +257,9 @@ def _cmd_group_validate(args) -> int:
     try:
         group = load(document)
     except GroupValidationError as exc:
-        payload = {"ok": False, "problems": exc.problems, "config": _config_echo(args)}
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _emit(args, {"ok": False, "problems": exc.problems, "config": _config_echo(args)})
         return EXIT_VALIDATION
-    payload = {
-        "ok": True,
-        "group": store(group),
-        "config": _config_echo(args),
-    }
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _emit(args, {"ok": True, "group": store(group), "config": _config_echo(args)})
     return EXIT_OK
 
 
@@ -380,7 +376,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # what is still buffered can never be written: send it to devnull so
+        # that the interpreter's last flush of stdout does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

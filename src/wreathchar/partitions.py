@@ -1,10 +1,10 @@
 """Integer partitions and k-multipartitions: enumeration, exact counting,
 hooks, rimhooks, t-cores, dominance, and rank/unrank in the canonical order.
 
-Border strips are read off beta-sets: as sorted first-column hook lengths
-(``_strip_removals``, for whole-column peel tables and ``remove_rimhooks``)
-or as the bits of one Python int (``_beta_mask``, for t-core tests and the
-single-cell character kernel).
+A beta-set has one form, the bits of one Python int (``_beta_mask``), and
+border strips have one primitive on it, ``_strips``: the single-cell and the
+whole-column character kernels peel through it, and ``remove_rimhooks``
+decodes its masks back to parts.
 
 Canonical orders (used everywhere downstream):
   * partitions of n: descending lexicographic on part tuples,
@@ -180,9 +180,10 @@ def enumerate_multipartitions(n: int, k: int) -> Iterator[MultiPartition]:
     return (MultiPartition.from_tuples(t) for t in _multipartition_tuples(n, k))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def multipartitions_of(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Cached tuple-of-tuples form of the canonical enumeration (engine use)."""
+    """Tuple-of-tuples form of the canonical enumeration (engine use); only
+    the latest (n, k) is kept."""
     return tuple(_multipartition_tuples(n, k))
 
 
@@ -267,20 +268,12 @@ def syt_count(p: Partition) -> int:
     return factorial(p.size) // prod
 
 
-def _beta(parts: tuple[int, ...]) -> list[int]:
-    """First-column hook lengths parts[i] + (rows - 1 - i), strictly decreasing."""
-    rows = len(parts)
-    return [parts[i] + rows - 1 - i for i in range(rows)]
-
-
 def _beta_mask(parts: tuple[int, ...]) -> int:
     """The beta-set as an int: bit parts[i] + rows - 1 - i set for each row i.
 
-    A border strip of length L is a bead at i + L moved to a free position i,
-    so the removable strips are the set bits i of (mask >> L) & ~mask; the
-    strip's height is the number of beads strictly between i and i + L.  The
-    bead count never changes, so a removal leaves a mask of the same rows
-    (zero parts included) and masks compare only within one bead count.
+    The bead count never changes under ``_strips``, so a removal leaves a
+    mask of the same rows (zero parts included, as beads at the bottom), and
+    masks compare only within one bead count.
     """
     mask = 0
     bead = len(parts) - 1
@@ -290,26 +283,38 @@ def _beta_mask(parts: tuple[int, ...]) -> int:
     return mask
 
 
+def _strips(mask: int, length: int) -> Iterator[tuple[int, int]]:
+    """(moved mask, height) for each border strip of ``length`` on the
+    beta-set ``mask``, the lowest landing position first.
+
+    A strip is a bead at low << length moved down to a free position low,
+    so the strips are the set bits low of (mask >> length) & ~mask; the
+    height is the number of beads strictly between the two.
+    """
+    between = (1 << (length - 1)) - 1
+    free = (mask >> length) & ~mask
+    while free:
+        low = free & -free
+        free ^= low
+        yield mask ^ (low | low << length), (mask & (between * low << 1)).bit_count()
+
+
 @lru_cache(maxsize=None)
 def _strip_removals(parts: tuple[int, ...], length: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """All (remainder parts, height) for removable border strips of ``length``.
-
-    Works on the beta-set: a strip of length L removable from bead b exists
-    iff b - L >= 0 and b - L is free; its height is the number of beads
-    strictly between b - L and b.
-    """
-    beta = _beta(parts)
-    bset = set(beta)
-    rows = len(parts)
+    """All (remainder parts, height) for removable border strips of ``length``,
+    read off ``_strips`` and ordered by the moved bead, highest first."""
     out = []
-    for b in beta:
-        nb = b - length
-        if nb < 0 or nb in bset:
-            continue
-        height = sum(1 for c in beta if nb < c < b)
-        new = sorted((c if c != b else nb for c in beta), reverse=True)
-        rem = tuple(new[i] - (rows - 1 - i) for i in range(rows))
-        out.append((tuple(x for x in rem if x > 0), height))
+    for moved, height in reversed([*_strips(_beta_mask(parts), length)]):
+        rem = []
+        bead = 0  # beads below this one
+        while moved:
+            low = moved & -moved
+            moved ^= low
+            part = low.bit_length() - 1 - bead
+            if part:
+                rem.append(part)
+            bead += 1
+        out.append((tuple(reversed(rem)), height))
     return tuple(out)
 
 

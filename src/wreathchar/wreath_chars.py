@@ -5,14 +5,16 @@ flatten the class label mu into (length, class) pairs, longest part first
 across all components, then peel rimhooks of each length from the
 components of lambda; a hook placed in component q while consuming a part
 of mu_j contributes a factor table[q][j], and each decomposition is signed
-by (-1)^height.  A single cell runs the recursion on beta-sets held
-as ints (``_mn_beads``); a whole column runs it bottom-up over indexed
-peel steps (``character_column``).  ``_columns`` is the one column loop: it
-maps ``character_column`` over a process pool (``_pool_map``, also the
-sampled censuses' pool) and owns the peel-step tables, which it drops when
-its columns are done or one fails.  Permutation-module values come from an
-independent row-decomposition DP.  The two are linked by Kostka-product
-multiplicities, which the acceptance suite checks cell by cell.
+by (-1)^height.  Both kernels take their strips from one primitive on
+beta-sets held as ints, ``partitions._strips``: a single cell runs the
+recursion top-down (``_mn_beads``), and a whole column runs it bottom-up
+over indexed peel steps (``character_column``).  ``_columns`` is the one
+column loop: it maps ``character_column`` over a process pool
+(``_pool_map``, also the sampled censuses' pool) and owns the peel-step
+tables, which it drops when its columns are done or one fails.
+Permutation-module values come from an independent row-decomposition DP.
+The two are linked by Kostka-product multiplicities, which the acceptance
+suite checks cell by cell.
 
 Component i of every multipartition is paired with row i of the group table;
 class j of G is column j.  All arithmetic is exact integer arithmetic.
@@ -33,7 +35,8 @@ from .partitions import (
     MultiPartition,
     Partition,
     _beta_mask,
-    _strip_removals,
+    _multipartition_tuples,
+    _strips,
     count_multipartitions,
     multipartitions_of,
     syt_count,
@@ -103,12 +106,8 @@ def class_size(group: GroupData, mu: MultiPartition) -> int:
 
 def _mn_beads(masks, pos, seq, table, memo):
     """chi on lambda, given as one beta-set mask per component, peeling the
-    (length, class) pairs seq[pos:]; memo holds this evaluation's (masks, pos).
-
-    A strip of ``length`` removable from component q is a set bit ``low`` of
-    (mask >> length) & ~mask: the bead at low << length moves down to low,
-    signed by the parity of the beads strictly between the two.
-    """
+    (length, class) pairs seq[pos:] through ``_strips``; memo holds this
+    evaluation's (masks, pos)."""
     if pos == len(seq):
         return 1
     key = (masks, pos)
@@ -116,21 +115,15 @@ def _mn_beads(masks, pos, seq, table, memo):
     if cached is not None:
         return cached
     length, j = seq[pos]
-    between = (1 << (length - 1)) - 1
     total = 0
     for q, mask in enumerate(masks):
         factor = table[q][j]
         if not factor:
             continue
-        free = (mask >> length) & ~mask
-        while free:
-            low = free & -free
-            free ^= low
-            sub = _mn_beads(
-                masks[:q] + (mask ^ (low | low << length),) + masks[q + 1 :], pos + 1, seq, table, memo
-            )
+        for moved, height in _strips(mask, length):
+            sub = _mn_beads(masks[:q] + (moved,) + masks[q + 1 :], pos + 1, seq, table, memo)
             if sub:
-                if (mask & (between * low << 1)).bit_count() & 1:
+                if height & 1:
                     total -= factor * sub
                 else:
                     total += factor * sub
@@ -158,32 +151,52 @@ def mn_character(group: GroupData, lam: MultiPartition, mu: MultiPartition) -> i
 # A peel step takes the values on the multipartitions of remaining - length
 # to those on the multipartitions of remaining.  Its moves depend only on
 # (remaining, length, k), never on the column, so a full table builds each
-# step once and every column reuses it.  Only the latest (n, k) is kept, and
-# _columns drops it once its columns are in or one of them fails.
+# step once and every column reuses it.  The same dict holds, under the int
+# key m, the beta-set masks of the multipartitions of m.  Only the latest
+# (n, k) is kept, and _columns drops it once its columns are in or one of
+# them fails.
 @lru_cache(maxsize=1)
 def _step_tables(n: int, k: int) -> dict:
     return {}
+
+
+def _level_masks(steps: dict, m: int, k: int) -> tuple:
+    """One tuple of component beta-set masks per multipartition of m, in
+    canonical order; no component has a zero part."""
+    masks = steps.get(m)
+    if masks is None:
+        masks = steps[m] = tuple(tuple(map(_beta_mask, mp)) for mp in _multipartition_tuples(m, k))
+    return masks
 
 
 def _peel_step(steps: dict, remaining: int, length: int, k: int) -> tuple:
     """One entry per multipartition of ``remaining`` in canonical order: its
     moves (q, index of the remainder among the multipartitions of
     remaining - length, (-1)^height), one per border strip of ``length``
-    removable from component q."""
+    that ``_strips`` finds on the mask of component q."""
     step = steps.get((remaining, length))
     if step is None:
-        index = {mp: i for i, mp in enumerate(multipartitions_of(remaining - length, k))}
+        index = {masks: i for i, masks in enumerate(_level_masks(steps, remaining - length, k))}
         # entries that make the same move share one tuple: the 48 steps of
         # Z2 n=12 hold 1.1 MiB (tracemalloc) instead of 1.8
         shared: dict = {}
+        # one component mask recurs in many multipartitions; peel it once.
+        # A strip may empty rows: their beads are the trailing one bits, and
+        # shifting them out gives the remainder the index's form.
+        peeled: dict = {}
         entries = []
-        for mp in multipartitions_of(remaining, k):
+        for masks in _level_masks(steps, remaining, k):
             entry = []
-            for q in range(k):
-                if mp[q]:
-                    for rem, height in _strip_removals(mp[q], length):
-                        move = (q, index[mp[:q] + (rem,) + mp[q + 1 :]], -1 if height & 1 else 1)
-                        entry.append(shared.setdefault(move, move))
+            for q, mask in enumerate(masks):
+                strips = peeled.get(mask)
+                if strips is None:
+                    strips = peeled[mask] = [
+                        (moved >> ((moved ^ (moved + 1)).bit_length() - 1), -1 if height & 1 else 1)
+                        for moved, height in _strips(mask, length)
+                    ]
+                for moved, sign in strips:
+                    move = (q, index[masks[:q] + (moved,) + masks[q + 1 :]], sign)
+                    entry.append(shared.setdefault(move, move))
             entries.append(tuple(entry))
         step = steps[(remaining, length)] = tuple(entries)
     return step
@@ -306,10 +319,13 @@ def perm_character(group: GroupData, lam: MultiPartition, mu: MultiPartition) ->
 # Kostka numbers and the basis change
 
 
-@lru_cache(maxsize=None)
-def _kostka_rec(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
+def _kostka_rec(shape: tuple[int, ...], content: tuple[int, ...], memo: dict) -> int:
     if not content:
         return 1 if not shape else 0
+    key = (shape, len(content))
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
     want = content[-1]
     rest = content[:-1]
     total = 0
@@ -318,7 +334,7 @@ def _kostka_rec(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
         nonlocal total
         if i == len(shape):
             if todo == 0:
-                total += _kostka_rec(tuple(x for x in acc if x), rest)
+                total += _kostka_rec(tuple(x for x in acc if x), rest, memo)
             return
         lo = shape[i + 1] if i + 1 < len(shape) else 0
         # row i of the smaller shape lies in [max(lo, shape[i]-todo), shape[i]]
@@ -328,18 +344,20 @@ def _kostka_rec(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
             acc.pop()
 
     strips(0, want, [])
+    memo[key] = total
     return total
 
 
 def kostka(beta: Partition, gamma: Partition) -> int:
     """K^{beta,gamma} = multiplicity of V^gamma in M^beta, i.e. the number of
-    semistandard tableaux of shape gamma and content beta (exact DP).
+    semistandard tableaux of shape gamma and content beta (exact DP; the
+    memo lives for this one call, where every content is a prefix of beta).
 
     Nonzero exactly when gamma dominates beta; K^{beta,beta} = 1.
     """
     if beta.size != gamma.size:
         raise ValueError(f"sizes differ: {beta.size} vs {gamma.size}")
-    return _kostka_rec(gamma.parts, beta.parts)
+    return _kostka_rec(gamma.parts, beta.parts, {})
 
 
 def perm_multiplicity(lam: MultiPartition, eta: MultiPartition) -> int:

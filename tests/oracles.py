@@ -78,6 +78,21 @@ def brute_strip_removals(parts, length):
     return found
 
 
+def brute_peel_step(sources, targets, length):
+    """Per multipartition of ``sources``, the Counter of its moves (q, index
+    in ``targets`` of the remainder, (-1)^height), one per border strip of
+    ``length`` removable from component q, read off cell sets."""
+    index = {mp: i for i, mp in enumerate(targets)}
+    out = []
+    for mp in sources:
+        moves = Counter()
+        for q, comp in enumerate(mp):
+            for rem, height in brute_strip_removals(comp, length):
+                moves[(q, index[mp[:q] + (rem,) + mp[q + 1 :]], (-1) ** height)] += 1
+        out.append(moves)
+    return out
+
+
 def component_major_sequence(mu):
     """The (length, class) pairs of mu component by component, longest part
     first within each component: a fixed peel order for brute_mn_value that

@@ -1,0 +1,44 @@
+"""Module state stays bounded over a long mixed sequence of engine calls.
+
+The column path keeps its peel steps and level masks in ``_step_tables``
+only while its columns run, ``multipartitions_of`` holds the latest (n, k),
+``kostka`` keeps its memo for one call, and nothing on the engine's paths
+fills the ``_strip_removals`` cache of ``remove_rimhooks``.
+"""
+
+from wreathchar.base_group import builtin
+from wreathchar.partitions import (
+    MultiPartition,
+    _strip_removals,
+    enumerate_partitions,
+    multipartitions_of,
+)
+from wreathchar.stats import exact_census
+from wreathchar.weyl_d import dn_restricted_census
+from wreathchar.wreath_chars import (
+    _kostka_rec,
+    _step_tables,
+    character_table,
+    kostka,
+    mn_character,
+)
+
+
+def test_mixed_calls_leave_bounded_caches():
+    strips_before = _strip_removals.cache_info().currsize
+    for name, n in (("Z2", 5), ("S3", 3), ("trivial", 7), ("Z2xZ2", 3), ("Z2", 4), ("D8", 2)):
+        g = builtin(name)
+        character_table(g, n)
+        exact_census(g, n, 3)
+        dn_restricted_census(n + 1, 2, mode="exact")
+        labels = [MultiPartition.from_tuples(t) for t in multipartitions_of(n, g.k)]
+        for lam, mu in zip(labels, reversed(labels)):
+            mn_character(g, lam, mu)
+        shapes = enumerate_partitions(n)
+        for beta in shapes:
+            for gamma in shapes:
+                kostka(beta, gamma)
+        assert _step_tables.cache_info().currsize == 0
+    assert multipartitions_of.cache_info().currsize <= 1
+    assert _strip_removals.cache_info().currsize == strips_before
+    assert not hasattr(_kostka_rec, "cache_info")

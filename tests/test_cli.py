@@ -9,7 +9,15 @@ import pytest
 import oracles
 import wreathchar
 from wreathchar.base_group import BUILTIN_NAMES, builtin, store
-from wreathchar.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, build_parser, main
+from wreathchar.cli import (
+    EXIT_BUDGET,
+    EXIT_OK,
+    EXIT_PIPE,
+    EXIT_USAGE,
+    EXIT_VALIDATION,
+    build_parser,
+    main,
+)
 from wreathchar.wreath_chars import character_table
 
 
@@ -372,3 +380,27 @@ class TestHelp:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == f"wreathchar {wreathchar.__version__}"
+
+
+class TestOutputErrors:
+    def test_closed_pipe_exits_141_quietly(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(wreathchar.__file__).resolve().parents[1]))
+        # the CSV is far larger than a pipe buffer, so the writer meets the
+        # closed pipe while it is still writing
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wreathchar", "table", "--group", "S3", "--n", "5", "--format", "csv"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"row_label,col_label,value\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == EXIT_PIPE
+        assert err == b""
+
+    def test_other_os_errors_exit_2(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "table", "--group", "S3", "--n", "2", "--out", str(tmp_path / "missing" / "x.csv")
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "No such file or directory" in err

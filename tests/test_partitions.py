@@ -219,6 +219,26 @@ class TestRimhooks:
         assert got[0].height == 1
         assert got[0].length == 3
 
+    def test_order_is_pinned(self):
+        # strips come in the order of the moved bead, highest first
+        want = {
+            (4, 2, 1): {
+                1: [((3, 2, 1), 0), ((4, 1, 1), 0), ((4, 2), 0)],
+                2: [((2, 2, 1), 0)],
+                3: [((4,), 1)],
+                4: [((1, 1, 1), 1)],
+            },
+            (5, 3, 3, 1): {
+                2: [((3, 3, 3, 1), 0), ((5, 2, 2, 1), 1), ((5, 3, 1, 1), 0)],
+                5: [((2, 2, 2, 1), 2), ((5, 2), 2)],
+            },
+        }
+        for parts, by_length in want.items():
+            for length, removals in by_length.items():
+                got = remove_rimhooks(Partition(parts), length)
+                assert [(r.remainder.parts, r.height) for r in got] == removals, (parts, length)
+                assert all(r.length == length for r in got)
+
     def test_single_row(self):
         for n in (1, 3, 6):
             got = remove_rimhooks(Partition((n,)), n)

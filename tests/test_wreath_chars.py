@@ -1,6 +1,7 @@
 import csv
 import json
 import random
+from collections import Counter
 from io import StringIO
 from math import factorial
 
@@ -14,6 +15,7 @@ from wreathchar.partitions import (
     Partition,
     _beta_mask,
     count_multipartitions,
+    enumerate_multipartitions,
     multipartitions_of,
 )
 from wreathchar.wreath_chars import (
@@ -28,6 +30,7 @@ from wreathchar.wreath_chars import (
     perm_character,
     perm_multiplicity,
     _mn_beads,
+    _peel_step,
     _step_tables,
 )
 
@@ -416,6 +419,18 @@ class TestCharacterColumn:
             for mu in labels:
                 col = character_column(g, n, mu.as_tuples())
                 assert col == [mn_character(g, lam, mu) for lam in labels]
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_peel_steps_match_cell_sets(self, name):
+        k = builtin(name).k
+        top = 6 if k < 4 else 4
+        levels = [[mp.as_tuples() for mp in enumerate_multipartitions(m, k)] for m in range(top + 1)]
+        steps = {}
+        for remaining in range(1, top + 1):
+            for length in range(1, remaining + 1):
+                got = _peel_step(steps, remaining, length, k)
+                want = oracles.brute_peel_step(levels[remaining], levels[remaining - length], length)
+                assert [Counter(moves) for moves in got] == want, (remaining, length)
 
     def test_rejects_wrong_total(self):
         with pytest.raises(ValueError):
