@@ -7,6 +7,9 @@ worker count and evaluation order.  Sampled and certificate censuses draw
 identical (lambda, mu) streams for equal (n, seed), which makes seed-paired
 soundness comparisons exact.
 
+Every sampled census, type D included, is one call to ``_sampled_census``,
+which checks its inputs, counts its hits and builds its report.
+
 A sampled cell (lambda, mu) is decided at mash_canonical(mu, p) rather than
 at the drawn mu: trading p equal parts m for one part pm leaves every
 character value unchanged mod p (G has an integer table), so both labels
@@ -18,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
@@ -140,12 +143,15 @@ class CensusReport:
     p: int
     cells_evaluated: int
     divisible_count: int
-    proportion: Fraction
     samples: Optional[int] = None
     ci_low: Optional[float] = None
     ci_high: Optional[float] = None
     seed: Optional[int] = None
     coverage: Optional[Fraction] = None
+
+    @property
+    def proportion(self) -> Fraction:
+        return Fraction(self.divisible_count, self.cells_evaluated)
 
     def to_json_dict(self) -> dict:
         return {
@@ -209,7 +215,6 @@ def exact_census(
         p=p,
         cells_evaluated=cells,
         divisible_count=divisible,
-        proportion=Fraction(divisible, cells),
     )
 
 
@@ -238,17 +243,49 @@ def _hit(draw, test, index: int) -> bool:
     return test(*draw(index))
 
 
-def _census_hits(draw, test, samples: int, workers: int = 1) -> int:
-    """Number of indices i < samples with test(*draw(i)), the one sample loop
-    of every sampled census.  draw(i) depends only on i, so the count is the
-    same for any worker count; draw and test must be picklable for workers > 1."""
-    _check_workers(workers)
-    return sum(_pool_map(partial(_hit, draw, test), range(samples), workers))
-
-
-def _check_confidence(confidence: float) -> None:
-    if not 0.0 < confidence < 1.0:
+def _sampled_census(
+    mode: str,
+    group: str,
+    group_k: int,
+    n: int,
+    p: int,
+    draw,
+    test,
+    samples: int,
+    seed: int,
+    workers: int = 1,
+    confidence: Optional[float] = None,
+    coverage: Optional[Fraction] = None,
+) -> CensusReport:
+    """Checks the inputs, counts the indices i < samples with
+    test(*draw(seed, i)) and reports them, with a Wilson interval when a
+    confidence is given.  draw(seed, i) depends only on (seed, i), so the
+    report is the same for any worker count; draw and test must pickle."""
+    require_prime(p)
+    if group_k < 1:
+        raise ValueError("group_k must be >= 1")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    _check_key("seed", seed)
+    if confidence is not None and not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    _check_workers(workers)
+    _completion_tables(n, group_k)  # built before any fork, shared by workers
+    hits = sum(_pool_map(partial(_hit, partial(draw, seed), test), range(samples), workers))
+    low, high = (None, None) if confidence is None else wilson_interval(hits, samples, confidence)
+    return CensusReport(
+        mode=mode,
+        group=group,
+        n=n,
+        p=p,
+        cells_evaluated=samples,
+        divisible_count=hits,
+        samples=samples,
+        ci_low=low,
+        ci_high=high,
+        seed=seed,
+        coverage=coverage,
+    )
 
 
 def sampled_census(
@@ -265,28 +302,10 @@ def sampled_census(
     Sample i is drawn from the stream keyed by (seed, i), so the report is
     fixed by the seed whatever the worker count.
     """
-    require_prime(p)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    _check_key("seed", seed)
-    _check_confidence(confidence)
-    _completion_tables(n, group.k)  # built before any fork, shared by workers
-    hits = _census_hits(
-        partial(_draw_pair, n, group.k, seed), partial(_divisible, group, p), samples, workers
-    )
-    low, high = wilson_interval(hits, samples, confidence)
-    return CensusReport(
-        mode="sampled",
-        group=group.name,
-        n=n,
-        p=p,
-        cells_evaluated=samples,
-        divisible_count=hits,
-        proportion=Fraction(hits, samples),
-        samples=samples,
-        ci_low=low,
-        ci_high=high,
-        seed=seed,
+    return _sampled_census(
+        "sampled", group.name, group.k, n, p,
+        partial(_draw_pair, n, group.k), partial(_divisible, group, p),
+        samples, seed, workers, confidence,
     )
 
 
@@ -301,27 +320,12 @@ def certificate_census(
     """Certificate-only census: evaluates predicted divisibility, never
     characters, so it scales to n in the thousands.  Coverage is a certified
     lower bound on the true divisible proportion."""
-    require_prime(p)
-    if group_k < 1:
-        raise ValueError("group_k must be >= 1")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    _check_key("seed", seed)
-    _completion_tables(n, group_k)
-    hits = _census_hits(partial(_draw_pair, n, group_k, seed), partial(_certified, p), samples, workers)
-    frac = Fraction(hits, samples)
-    return CensusReport(
-        mode="certificate",
-        group=f"k={group_k}",
-        n=n,
-        p=p,
-        cells_evaluated=samples,
-        divisible_count=hits,
-        proportion=frac,
-        samples=samples,
-        seed=seed,
-        coverage=frac,
+    report = _sampled_census(
+        "certificate", f"k={group_k}", group_k, n, p,
+        partial(_draw_pair, n, group_k), partial(_certified, p),
+        samples, seed, workers,
     )
+    return replace(report, coverage=report.proportion)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ here covers the sub-table whose rows are the nonsplit restrictions and whose
 columns are whole B_N classes inside D_N; values there equal B_N values.
 Split-class corrections are out of scope, so every report carries a coverage
 fraction (a lower bound: it treats each covered B_N class as one column of
-the full D_N table, whose column count equals the total irrep count)."""
+the full D_N table, whose column count equals the total irrep count).
+This module supplies only the rows, columns, draws and coverage of type D;
+the sampled census's checks, hit count and report are in
+``stats._sampled_census``."""
 
 from __future__ import annotations
 
@@ -18,21 +21,15 @@ from fractions import Fraction
 from functools import partial
 
 from .base_group import builtin
-from .congruence import mash_canonical, require_prime
+from .congruence import _mash_component, require_prime
 from .partitions import (
     MultiPartition,
     count_multipartitions,
     count_partitions,
     multipartitions_of,
 )
-from .stats import (
-    DEFAULT_CONFIDENCE,
-    CensusReport,
-    CounterStream,
-    random_multipartition,
-    wilson_interval,
-)
-from .stats import _census_hits, _check_confidence, _check_key, _divisible, _zeros_mod
+from .stats import DEFAULT_CONFIDENCE, CensusReport, CounterStream, random_multipartition
+from .stats import _divisible, _sampled_census, _zeros_mod
 from .wreath_chars import DEFAULT_CELL_BUDGET, CellBudgetExceeded, _columns
 
 
@@ -144,19 +141,19 @@ def dn_restricted_census(
     require_prime(p)
     group = builtin("Z2")
     census = dn_irrep_census(n)
-    coverage = Fraction(census.nonsplit * _dn_column_count(n), census.total * census.total)
+    columns = _dn_column_count(n)
+    coverage = Fraction(census.nonsplit * columns, census.total * census.total)
     if mode == "exact":
-        dn_cols = [mp for mp in multipartitions_of(n, 2) if len(mp[1]) % 2 == 0]
-        rows = nonsplit_rows(n)
-        cells = len(rows) * len(dn_cols)
+        # the budget is checked on the counts, before any label is enumerated
+        cells = census.nonsplit * columns
         if cells > cell_budget:
             raise CellBudgetExceeded(f"sub-table needs {cells} cells, budget is {cell_budget}")
+        dn_cols = [mp for mp in multipartitions_of(n, 2) if len(mp[1]) % 2 == 0]
+        rows = nonsplit_rows(n)
         # D_N columns with one canonical label are congruent mod p, so each
         # canonical column is computed once and its row hits counted once per
         # D_N column mapping to it
-        weights = Counter(
-            mash_canonical(MultiPartition.from_tuples(mu), p).canonical.as_tuples() for mu in dn_cols
-        )
+        weights = Counter(tuple(_mash_component(parts, p) for parts in mu) for mu in dn_cols)
         position = {lam: i for i, lam in enumerate(multipartitions_of(n, 2))}
         row_positions = [position[lam] for lam in rows]
         hits = 0
@@ -169,30 +166,14 @@ def dn_restricted_census(
             p=p,
             cells_evaluated=cells,
             divisible_count=hits,
-            proportion=Fraction(hits, cells),
             coverage=coverage,
         )
     if mode != "sampled":
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     if samples is None or seed is None:
         raise ValueError("sampled mode needs samples and seed")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    _check_key("seed", seed)
-    _check_confidence(confidence)
-    hits = _census_hits(partial(_draw_dn_cell, n, seed), partial(_divisible, group, p), samples)
-    low, high = wilson_interval(hits, samples, confidence)
-    return CensusReport(
-        mode="dn-sampled",
-        group="D",
-        n=n,
-        p=p,
-        cells_evaluated=samples,
-        divisible_count=hits,
-        proportion=Fraction(hits, samples),
-        samples=samples,
-        ci_low=low,
-        ci_high=high,
-        seed=seed,
-        coverage=coverage,
+    return _sampled_census(
+        "dn-sampled", "D", 2, n, p,
+        partial(_draw_dn_cell, n), partial(_divisible, group, p),
+        samples, seed, confidence=confidence, coverage=coverage,
     )

@@ -23,6 +23,7 @@ class j of G is column j.  All arithmetic is exact integer arithmetic.
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -238,12 +239,15 @@ def character_column(group: GroupData, n: int, mu_tuples) -> list[int]:
 
 def _pool_map(fn, items, workers: int):
     """fn over items, yielded in input order: serially, or through a process
-    pool that hands out contiguous chunks (fn and items must pickle)."""
-    if workers < 2 or len(items) < 2:
+    pool that hands out contiguous chunks (fn and items must pickle).  The
+    pool starts all its processes at once, so it gets no more than there are
+    items or CPUs."""
+    procs = min(workers, len(items), os.cpu_count() or 1)
+    if procs < 2:
         yield from map(fn, items)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers)))
+    with ProcessPoolExecutor(max_workers=procs) as pool:
+        yield from pool.map(fn, items, chunksize=max(1, len(items) // (4 * procs)))
 
 
 def _columns(group: GroupData, n: int, labels, workers: int = 1):
@@ -448,6 +452,10 @@ def character_table(
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_workers(workers)
+    # p_k(n) >= p(n) >= n, the n hooks being distinct partitions, so a table
+    # with n^2 cells over the budget is refused before anything is counted
+    if n * n > cell_budget:
+        raise CellBudgetExceeded(f"table needs at least {n}^2 = {n * n} cells, budget is {cell_budget}")
     size = count_multipartitions(n, group.k)
     if size * size > cell_budget:
         raise CellBudgetExceeded(

@@ -18,7 +18,10 @@ from wreathchar.cli import (
     build_parser,
     main,
 )
+from wreathchar.partitions import _pk_arrays, multipartitions_of
 from wreathchar.wreath_chars import character_table
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -162,6 +165,14 @@ class TestLabels:
         assert json.loads(out)["canonical"] == [[2], []]
 
 
+# the three sampled censuses, with good arguments but no seed
+SAMPLED_ARGV = [
+    ("sample-census", "--group", "Z2", "--n", "6", "--p", "2", "--samples", "10"),
+    ("cert-census", "--k", "2", "--n", "40", "--p", "2", "--samples", "10"),
+    ("dn-census", "--n", "6", "--p", "3", "--mode", "sampled", "--samples", "10"),
+]
+
+
 class TestCensuses:
     def test_exact_census_json(self, capsys):
         code, out, _ = run(capsys, "census", "--group", "Z2", "--n", "2", "--p", "2")
@@ -226,14 +237,7 @@ class TestCensuses:
         assert err == f"error: {flag} applies only to --mode sampled\n"
 
     @pytest.mark.parametrize("seed", [str(-1), str(2**64), str(2**64 + 1)])
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("sample-census", "--group", "Z2", "--n", "6", "--p", "2", "--samples", "10"),
-            ("cert-census", "--k", "2", "--n", "40", "--p", "2", "--samples", "10"),
-            ("dn-census", "--n", "6", "--p", "3", "--mode", "sampled", "--samples", "10"),
-        ],
-    )
+    @pytest.mark.parametrize("argv", SAMPLED_ARGV)
     def test_seed_out_of_range_exits_2(self, capsys, argv, seed):
         # a seed is never wrapped into [0, 2**64): -1 is not 2**64 - 1
         code, out, err = run(capsys, *argv, "--seed", seed)
@@ -241,19 +245,23 @@ class TestCensuses:
         assert out == ""
         assert err == f"error: seed must be an integer in [0, 2**64), got {seed}\n"
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("sample-census", "--group", "Z2", "--n", "6", "--p", "2", "--samples", "10"),
-            ("cert-census", "--k", "2", "--n", "40", "--p", "2", "--samples", "10"),
-            ("dn-census", "--n", "6", "--p", "3", "--mode", "sampled", "--samples", "10"),
-        ],
-    )
+    @pytest.mark.parametrize("argv", SAMPLED_ARGV)
     def test_top_seed_is_echoed(self, capsys, argv):
         code, out, _ = run(capsys, *argv, "--seed", str(2**64 - 1))
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["seed"] == doc["config"]["seed"] == 2**64 - 1
+
+    @pytest.mark.parametrize(
+        "bad, message", [(("--p", "4"), "p = 4 is not prime"), (("--samples", "0"), "samples must be >= 1")]
+    )
+    @pytest.mark.parametrize("argv", SAMPLED_ARGV)
+    def test_bad_p_or_samples_exits_2(self, capsys, argv, bad, message):
+        # the last --p or --samples given is the one parsed
+        code, out, err = run(capsys, *argv, "--seed", "1", *bad)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("confidence", ["0", "1", "1.5"])
     @pytest.mark.parametrize(
@@ -294,6 +302,45 @@ class TestCensuses:
         assert code == EXIT_USAGE
         assert out == ""
         assert err == f"error: workers must be >= 1, got {workers}\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("exact", ("census", "--group", "Z2", "--n", "4", "--p", "2")),
+            ("sampled", ("sample-census", "--group", "S3", "--n", "5", "--p", "3", "--samples", "40", "--seed", "7")),
+            ("certificate", ("cert-census", "--k", "2", "--n", "30", "--p", "2", "--samples", "40", "--seed", "7")),
+            ("dn-exact", ("dn-census", "--n", "6", "--p", "3")),
+            ("dn-sampled", ("dn-census", "--n", "8", "--p", "2", "--mode", "sampled", "--samples", "40", "--seed", "7")),
+        ],
+    )
+    def test_report_bytes_are_pinned(self, capsys, name, argv, fmt):
+        # one small run of each census mode, its stdout pinned byte for byte
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == EXIT_OK
+        assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
+
+    def test_over_budget_dn_census_enumerates_nothing(self, capsys):
+        before = multipartitions_of.cache_info().misses
+        code, out, err = run(capsys, "dn-census", "--n", "40", "--p", "2")
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert err == "error: sub-table needs 20410241156848 cells, budget is 50000000\n"
+        assert multipartitions_of.cache_info().misses == before
+
+    def test_over_budget_census_counts_nothing(self, capsys):
+        sizes = {k: len(arr) for k, arr in _pk_arrays.items()}
+        code, out, err = run(capsys, "census", "--group", "Z2", "--n", "1000000", "--p", "2")
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert err == "error: table needs at least 1000000^2 = 1000000000000 cells, budget is 50000000\n"
+        assert {k: len(arr) for k, arr in _pk_arrays.items()} == sizes
+
+    def test_pool_never_exceeds_samples(self, capsys, pool_requests):
+        argv = ("sample-census", "--group", "Z2", "--n", "6", "--p", "2", "--samples", "2", "--seed", "3")
+        serial = run(capsys, *argv)
+        assert run(capsys, *argv, "--workers", "5000") == serial
+        assert pool_requests == [2, 1]  # two processes, one sample each
 
     def test_csv_has_frozen_columns(self, capsys):
         code, out, _ = run(

@@ -317,6 +317,12 @@ class TestCharacterTable:
         with pytest.raises(CellBudgetExceeded):
             character_table(Z2, 6, cell_budget=10)
 
+    def test_budget_refused_before_counting(self):
+        # n^2 <= p_k(n)^2, so n = 10**6 is refused without filling the p_k arrays
+        want = r"^table needs at least 1000000\^2 = 1000000000000 cells, budget is 50000000$"
+        with pytest.raises(CellBudgetExceeded, match=want):
+            character_table(Z2, 10**6)
+
     def test_column_helper_matches(self):
         col = character_column(Z2, 3, ((2, 1), ()))
         t = character_table(Z2, 3)
@@ -443,6 +449,31 @@ class TestCharacterColumn:
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
             character_column(Z2, -1, ((), ()))
+
+
+class TestPoolMap:
+    """The process counts and chunk sizes the pool is asked for."""
+
+    @pytest.mark.parametrize(
+        "workers, items, want",
+        [
+            (5000, 2, [2, 1]),  # one process per item
+            (5000, 100, [8, 3]),  # one per CPU; chunks of 100 // (4 * 8)
+            (3, 100, [3, 8]),
+            (2, 2, [2, 1]),
+            (1, 100, []),  # serial
+            (5000, 1, []),
+            (5000, 0, []),
+        ],
+    )
+    def test_capped_by_items_and_cpus(self, pool_requests, workers, items, want):
+        assert list(wreath_chars._pool_map(abs, range(-items, 0), workers)) == list(range(items, 0, -1))
+        assert pool_requests == want
+
+    def test_serial_without_a_cpu_count(self, pool_requests, monkeypatch):
+        monkeypatch.setattr(wreath_chars.os, "cpu_count", lambda: None)
+        assert list(wreath_chars._pool_map(abs, [-1, -2], 4)) == [1, 2]
+        assert pool_requests == []
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
