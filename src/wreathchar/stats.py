@@ -46,10 +46,15 @@ _MASK64 = (1 << 64) - 1
 _DOMAIN = b"wreathchar.v1"
 
 
+def _is_int(value) -> bool:
+    # a bool is an int to isinstance, but True is no count and no key
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_key(name: str, value: int) -> None:
     # the stream keys on 8 bytes each of seed and index; a value outside them
     # would draw the samples of another key while reporting its own
-    if not isinstance(value, int) or not 0 <= value <= _MASK64:
+    if not _is_int(value) or not 0 <= value <= _MASK64:
         raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
 
 
@@ -264,6 +269,8 @@ def _sampled_census(
     require_prime(p)
     if group_k < 1:
         raise ValueError("group_k must be >= 1")
+    if not _is_int(samples):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     _check_key("seed", seed)

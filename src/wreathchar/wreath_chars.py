@@ -8,10 +8,14 @@ of mu_j contributes a factor table[q][j], and each decomposition is signed
 by (-1)^height.  Both kernels take their strips from one primitive on
 beta-sets held as ints, ``partitions._strips``: a single cell runs the
 recursion top-down (``_mn_beads``), and a whole column runs it bottom-up
-over indexed peel steps (``character_column``).  ``_columns`` is the one
-column loop: it maps ``character_column`` over a process pool
-(``_pool_map``, also the sampled censuses' pool) and owns the peel-step
-tables, which it drops when its columns are done or one fails.
+over indexed peel steps (``character_column``).  The column kernel pulls
+each step only on one representative per orbit of the linear characters
+Theta = (theta wr 1) sgn^e, since chi^lambda Theta is again irreducible,
+and fills in every other row by the sign Theta takes on the class peeled so
+far (``_Orbits``).  ``_columns`` is the one column loop: it maps
+``character_column`` over a process pool (``_pool_map``, also the sampled
+censuses' pool) and owns the peel-step and orbit tables, which it drops when
+its columns are done or one fails.
 Permutation-module values come from an independent row-decomposition DP.
 The two are linked by Kostka-product multiplicities, which the acceptance
 suite checks cell by cell.
@@ -26,9 +30,10 @@ import json
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from math import factorial
+from operator import itemgetter, mul
 from typing import Iterable
 
 from .base_group import GroupData
@@ -71,8 +76,10 @@ def flatten_class(mu: Iterable[tuple[int, ...]]) -> tuple[tuple[int, int], ...]:
     placements at the top of the recursion, and its memo merges the many
     orders of the short strips near the bottom.  ``character_column`` peels
     from the back: the shortest parts go while the value vectors are short,
-    and the last step, over all multipartitions of n, peels the longest part,
-    which has the fewest strips per entry.
+    and the last step, over the orbit representatives among the
+    multipartitions of n, peels the longest part, which has the fewest strips
+    per entry.  The orbits' sign fill reads only how many parts of each class
+    have been peeled, so any order would do for it.
     """
     return tuple(sorted(((length, j) for j, comp in enumerate(mu) for length in comp), reverse=True))
 
@@ -153,9 +160,10 @@ def mn_character(group: GroupData, lam: MultiPartition, mu: MultiPartition) -> i
 # to those on the multipartitions of remaining.  Its moves depend only on
 # (remaining, length, k), never on the column, so a full table builds each
 # step once and every column reuses it.  The same dict holds, under the int
-# key m, the beta-set masks of the multipartitions of m.  Only the latest
-# (n, k) is kept, and _columns drops it once its columns are in or one of
-# them fails.
+# key m, the beta-set masks of the multipartitions of m, and under "orbits"
+# the latest table's _Orbits of each level with the steps built for them.
+# Only the latest (n, k) is kept, and _columns drops it once its columns are
+# in or one of them fails.
 @lru_cache(maxsize=1)
 def _step_tables(n: int, k: int) -> dict:
     return {}
@@ -170,14 +178,22 @@ def _level_masks(steps: dict, m: int, k: int) -> tuple:
     return masks
 
 
-def _peel_step(steps: dict, remaining: int, length: int, k: int) -> tuple:
+def _peel_step(steps: dict, remaining: int, length: int, k: int, orbits: _Orbits | None = None) -> tuple:
     """One entry per multipartition of ``remaining`` in canonical order: its
     moves (q, index of the remainder among the multipartitions of
     remaining - length, (-1)^height), one per border strip of ``length``
-    that ``_strips`` finds on the mask of component q."""
-    step = steps.get((remaining, length))
+    that ``_strips`` finds on the mask of component q.
+
+    With the ``orbits`` of level ``remaining``, the entries of their
+    representatives only, in the order of ``orbits.reps``, cached in
+    ``orbits.steps`` so that they go with the table they were built for."""
+    cache, key = (steps, (remaining, length)) if orbits is None else (orbits.steps, length)
+    step = cache.get(key)
     if step is None:
         index = {masks: i for i, masks in enumerate(_level_masks(steps, remaining - length, k))}
+        sources = _level_masks(steps, remaining, k)
+        if orbits is not None:
+            sources = [sources[i] for i in orbits.reps]
         # entries that make the same move share one tuple: the 48 steps of
         # Z2 n=12 hold 1.1 MiB (tracemalloc) instead of 1.8
         shared: dict = {}
@@ -186,7 +202,7 @@ def _peel_step(steps: dict, remaining: int, length: int, k: int) -> tuple:
         # shifting them out gives the remainder the index's form.
         peeled: dict = {}
         entries = []
-        for masks in _level_masks(steps, remaining, k):
+        for masks in sources:
             entry = []
             for q, mask in enumerate(masks):
                 strips = peeled.get(mask)
@@ -199,14 +215,113 @@ def _peel_step(steps: dict, remaining: int, length: int, k: int) -> tuple:
                     move = (q, index[masks[:q] + (moved,) + masks[q + 1 :]], sign)
                     entry.append(shared.setdefault(move, move))
             entries.append(tuple(entry))
-        step = steps[(remaining, length)] = tuple(entries)
+        step = cache[key] = tuple(entries)
     return step
+
+
+_FLIP = str.maketrans("01", "10")
+
+
+def _conjugate_mask(mask: int) -> int:
+    """The beta-set mask of the conjugate partition, with no zero part: the
+    gaps below the top bead, reflected."""
+    return int(f"{mask:b}"[::-1].translate(_FLIP), 2) if mask else 0
+
+
+@dataclass
+class _Orbits:
+    """The multipartitions of m grouped into orbits of the linear characters
+    of G wr S_m that one table gives.
+
+    A linear row theta of the table (+-1 on an integer table) and e in
+    {0, 1} give Theta = (theta wr 1) sgn^e, and chi^lambda Theta =
+    chi^lambda*, where lambda* moves component q to the row of
+    theta table[q] and, when e = 1, conjugates every component.  These maps
+    form a group of involutions.  A row's representative is the least row of
+    its orbit, and chi^row = Theta_s chi^rep for the map s that takes the
+    representative to the row.
+    """
+
+    m: int
+    symmetries: tuple  # per map s: (theta's values on the classes, e)
+    reps: tuple  # the representative rows, ascending
+    slot: tuple  # per row: the position of its representative in reps
+    sym: tuple  # per row: the map s that takes its representative to it
+    getters: dict = field(default_factory=dict)  # the fill of each parity pattern
+    steps: dict = field(default_factory=dict)  # representative-only peel steps, per length
+
+    def fill(self, rep_values: list, odd: tuple) -> list[int]:
+        """The values on every row from those on the representatives, at a
+        class nu with odd[j] = l(nu_j) mod 2: one gather over rep_values and
+        their negations."""
+        getter = self.getters.get(odd)
+        if getter is None:
+            # Theta_s(nu) = prod_j theta(c_j)^l(nu_j) * (-1)^(e (m - l(nu)))
+            negated = [
+                (sum(o for o, t in zip(odd, theta) if t < 0) + e * (self.m - sum(odd))) & 1
+                for theta, e in self.symmetries
+            ]
+            width = len(self.reps)
+            at = [slot + width * negated[s] for slot, s in zip(self.slot, self.sym)]
+            # itemgetter of one index returns the item itself, not a 1-tuple
+            getter = self.getters[odd] = itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1))
+        return list(getter(rep_values + [-v for v in rep_values]))
+
+
+def _orbits(steps: dict, m: int, group: GroupData) -> _Orbits:
+    """The _Orbits of level m under group's table; steps holds those of the
+    latest table only."""
+    table = group.table
+    held = steps.get("orbits")
+    if held is None or held[0] != table:
+        held = steps["orbits"] = (table, {})
+    orbits = held[1].get(m)
+    if orbits is not None:
+        return orbits
+    k = group.k
+    levels = _level_masks(steps, m, k)
+    index = {masks: i for i, masks in enumerate(levels)}
+    conjugate = {mask: _conjugate_mask(mask) for mask in set().union(*levels)}
+    row_of = {row: q for q, row in enumerate(table)}
+    symmetries = []
+    images = []
+    for theta in table:
+        if theta[group.identity_class] != 1:
+            continue
+        # a validated table holds theta * table[q] for every linear theta
+        to = [row_of[tuple(map(mul, theta, row))] for row in table]
+        for e in (0, 1):
+            symmetries.append((theta, e))
+            image = []
+            for masks in levels:
+                moved = [0] * k
+                for q, mask in enumerate(masks):
+                    moved[to[q]] = conjugate[mask] if e else mask
+                image.append(index[tuple(moved)])
+            images.append(image)
+    # per row: the least row of its orbit and the map that takes the row there
+    least = [min(zip(orbit, range(len(images)))) for orbit in zip(*images)]
+    reps = sorted({rep for rep, _ in least})
+    position = {rep: i for i, rep in enumerate(reps)}
+    orbits = held[1][m] = _Orbits(
+        m=m,
+        symmetries=tuple(symmetries),
+        reps=tuple(reps),
+        slot=tuple(position[rep] for rep, _ in least),
+        sym=tuple(s for _, s in least),
+    )
+    return orbits
 
 
 def character_column(group: GroupData, n: int, mu_tuples) -> list[int]:
     """chi^lambda_mu for every lambda of n at once (same recurrence, run
     bottom-up over the flattened sequence), as a list aligned with
     ``multipartitions_of(n, group.k)``.
+
+    Each step is pulled only on one representative row per orbit of the
+    linear characters (``_Orbits``) and filled in on the other rows by
+    sign: at the partial class nu peeled so far, each row's value is its
+    representative's times Theta(nu) = +-1.
 
     Raises ValueError unless n >= 0 and mu_tuples is a label of the table:
     group.k components whose parts sum to n.
@@ -222,18 +337,21 @@ def character_column(group: GroupData, n: int, mu_tuples) -> list[int]:
     steps = _step_tables(n, k)
     values = [1]  # the one multipartition of 0
     remaining = 0
+    odd = [0] * k  # the parity of each component's length in nu
     for length, j in reversed(flatten_class(mu_tuples)):
         remaining += length
+        odd[j] ^= 1
         factors = [table[q][j] for q in range(k)]
-        nxt = []
-        for moves in _peel_step(steps, remaining, length, k):
+        orbits = _orbits(steps, remaining, group)
+        reps = []
+        for moves in _peel_step(steps, remaining, length, k, orbits):
             acc = 0
             for q, target, sign in moves:
                 sub = values[target]
                 if sub:
                     acc += sign * factors[q] * sub
-            nxt.append(acc)
-        values = nxt
+            reps.append(acc)
+        values = orbits.fill(reps, tuple(odd))
     return values
 
 

@@ -7,7 +7,9 @@ entry-at-a-time completion tables with the top-down unranking walk, and one
 ``csv.writer`` row per cell for the table CSV.  None of it shares code with
 the package internals beyond plain tuples, except ``unreduced_dn_census``,
 which checks a reduction of the type-D census rather than the character
-engine and so reads its columns from that engine.
+engine and so reads its columns from that engine, and ``twisted_label``,
+which conjugates with the public ``Partition.conjugate`` (cell counting, not
+the engine's beta-set masks).
 """
 
 from __future__ import annotations
@@ -91,6 +93,31 @@ def brute_peel_step(sources, targets, length):
                 moves[(q, index[mp[:q] + (rem,) + mp[q + 1 :]], (-1) ** height)] += 1
         out.append(moves)
     return out
+
+
+def twisted_label(table, lam, theta, e):
+    """lambda* for the linear character (theta wr 1) sgn^e of G wr S_n, theta
+    a row of ``table``: component q of lam moves to the row equal to
+    theta * table[q], and is conjugated when e = 1."""
+    from wreathchar.partitions import Partition
+
+    out = [()] * len(table)
+    for q, comp in enumerate(lam):
+        target = table.index(tuple(t * v for t, v in zip(theta, table[q])))
+        out[target] = Partition(comp).conjugate().parts if e else tuple(comp)
+    return tuple(out)
+
+
+def twist_sign(theta, e, mu):
+    """Theta(mu) for Theta = (theta wr 1) sgn^e: theta(c_j) once per part of
+    mu_j, times the sign (-1)^(n - l(mu)) of the permutation when e = 1."""
+    sign = 1
+    for j, comp in enumerate(mu):
+        for _ in comp:
+            sign *= theta[j]
+    if e and (sum(map(sum, mu)) - sum(map(len, mu))) % 2:
+        sign = -sign
+    return sign
 
 
 def component_major_sequence(mu):

@@ -5,11 +5,13 @@
 metrics read "absent" while every answer stays right.  These tests read the
 tracer's own tables, so they follow any rename made there.  The table CSV's
 toy digest in ``bench/workloads.py`` is checked here too, so that a change of
-the CSV bytes fails the unit tests and not only the benchmark's gate.
+the CSV bytes fails the unit tests and not only the benchmark's gate, and so
+is the toy exact census's pinned answer.
 """
 
 import hashlib
 import importlib
+import json
 import importlib.util
 import sys
 from pathlib import Path
@@ -60,3 +62,10 @@ def test_table_csv_matches_the_toy_digest(capsys):
     assert main(workload.command(1)) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == workload.csv_sha256
+
+
+def test_exact_census_matches_the_toy_answer(capsys):
+    workload = _load("workloads").TOY_WORKLOADS["exact-census"]
+    assert main(workload.command(1)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert {key: report.get(key) for key in workload.answer} == workload.answer

@@ -1,7 +1,8 @@
 """Module state stays bounded over a long mixed sequence of engine calls.
 
-The column path keeps its peel steps and level masks in ``_step_tables``
-only while its columns run, ``multipartitions_of`` holds the latest (n, k),
+The column path keeps its peel steps, level masks and orbits in
+``_step_tables`` only while its columns run, and the orbits of the latest
+group table only; ``multipartitions_of`` holds the latest (n, k),
 ``kostka`` keeps its memo for one call, and nothing on the engine's paths
 fills the ``_strip_removals`` cache of ``remove_rimhooks``.
 """
@@ -16,8 +17,10 @@ from wreathchar.partitions import (
 from wreathchar.stats import exact_census
 from wreathchar.weyl_d import dn_restricted_census
 from wreathchar.wreath_chars import (
+    _columns,
     _kostka_rec,
     _step_tables,
+    character_column,
     character_table,
     kostka,
     mn_character,
@@ -42,3 +45,21 @@ def test_mixed_calls_leave_bounded_caches():
     assert multipartitions_of.cache_info().currsize <= 1
     assert _strip_removals.cache_info().currsize == strips_before
     assert not hasattr(_kostka_rec, "cache_info")
+
+
+def test_orbits_of_the_latest_table_only():
+    # S4, D8 and Q8 all have k = 5 and share the step tables of n = 3
+    n = 3
+    labels = multipartitions_of(n, 5)
+    for name in ("S4", "D8", "Q8", "S4"):
+        g = builtin(name)
+        for mu in labels[::7]:
+            character_column(g, n, mu)
+        steps = _step_tables(n, 5)
+        assert _step_tables.cache_info().currsize == 1
+        assert [key for key in steps if not isinstance(key, int)] == ["orbits"]
+        table, levels = steps["orbits"]
+        assert table == g.table
+        assert n in levels and set(levels) <= set(range(1, n + 1))
+    assert len(list(_columns(g, n, labels[:5]))) == 5
+    assert _step_tables.cache_info().currsize == 0

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -71,6 +72,14 @@ class TestCounterStream:
         top = 2**64 - 1
         want = hashlib.sha256(b"wreathchar.v1" + top.to_bytes(8, "big") * 2 + bytes(8)).digest()
         assert CounterStream(top, top).take(32) == want
+
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_key_not_a_bool(self, value):
+        with pytest.raises(ValueError, match="seed"):
+            CounterStream(value, 0)
+        with pytest.raises(ValueError, match="index"):
+            CounterStream(0, value)
 
 
 class TestRandomMultipartition:
@@ -223,6 +232,43 @@ class TestCertificateCensus:
                     certified += sum(1 for lam in labels if zero_certificate(lam, mashed))
                 fraction = Fraction(certified, len(labels) ** 2)
                 assert fraction <= exact_census(Z2, n, p).proportion
+
+
+# each sampled census at the API, as a function of (samples, seed)
+SAMPLED_CENSUSES = {
+    "sampled": lambda samples, seed: sampled_census(Z2, 6, 2, samples=samples, seed=seed),
+    "certificate": lambda samples, seed: certificate_census(2, 6, 2, samples=samples, seed=seed),
+    "dn-sampled": lambda samples, seed: dn_restricted_census(6, 2, mode="sampled", samples=samples, seed=seed),
+}
+
+
+class TestSampledArguments:
+    """The sampled censuses name a bad samples or seed at the API."""
+
+    @pytest.mark.parametrize("census", SAMPLED_CENSUSES)
+    @pytest.mark.parametrize("samples", [True, False, 5.5, 5.0, "5"])
+    def test_samples_must_be_an_int(self, census, samples):
+        with pytest.raises(ValueError, match=rf"^samples must be an integer, got {re.escape(repr(samples))}$"):
+            SAMPLED_CENSUSES[census](samples, 1)
+
+    @pytest.mark.parametrize("census", SAMPLED_CENSUSES)
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_samples_below_one(self, census, samples):
+        with pytest.raises(ValueError, match=r"^samples must be >= 1$"):
+            SAMPLED_CENSUSES[census](samples, 1)
+
+    @pytest.mark.parametrize("census", SAMPLED_CENSUSES)
+    @pytest.mark.parametrize("seed", [True, False, 1.0, "1", -1, 2**64])
+    def test_seed_must_be_a_key(self, census, seed):
+        want = rf"^seed must be an integer in \[0, 2\*\*64\), got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=want):
+            SAMPLED_CENSUSES[census](3, seed)
+
+    @pytest.mark.parametrize("census", SAMPLED_CENSUSES)
+    def test_int_arguments_report_as_given(self, census):
+        report = SAMPLED_CENSUSES[census](3, 2**64 - 1)
+        assert (report.samples, report.cells_evaluated, report.seed) == (3, 3, 2**64 - 1)
+        assert type(report.samples) is int and 0 <= report.divisible_count <= 3
 
 
 class TestPinnedSamples:

@@ -8,7 +8,7 @@ from math import factorial
 import pytest
 
 from wreathchar import wreath_chars
-from wreathchar.base_group import BUILTIN_NAMES, GroupData, builtin
+from wreathchar.base_group import BUILTIN_NAMES, GroupData, builtin, load, store
 from wreathchar.cli import _parse_label
 from wreathchar.partitions import (
     MultiPartition,
@@ -30,6 +30,7 @@ from wreathchar.wreath_chars import (
     perm_character,
     perm_multiplicity,
     _mn_beads,
+    _orbits,
     _peel_step,
     _step_tables,
 )
@@ -137,6 +138,26 @@ class TestMnCharacter:
             mn_character(Z2, MultiPartition([[1]]), MultiPartition([[1], []]))
         with pytest.raises(ValueError):
             mn_character(Z2, MultiPartition([[2], []]), MultiPartition([[1], []]))
+
+
+# n <= 5, and n <= 3 when k >= 4
+TWIST_N = {name: 5 if builtin(name).k < 4 else 3 for name in BUILTIN_NAMES}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_linear_twists_match_mn_character(name):
+    # chi^lambda* = Theta chi^lambda for every linear Theta = (theta wr 1) sgn^e
+    g = builtin(name)
+    linear = [theta for theta in g.table if theta[g.identity_class] == 1]
+    for n in range(TWIST_N[name] + 1):
+        labels = mps(n, g.k)
+        for theta in linear:
+            for e in (0, 1):
+                for lam in labels:
+                    star = MultiPartition.from_tuples(oracles.twisted_label(g.table, lam.as_tuples(), theta, e))
+                    for mu in labels:
+                        sign = oracles.twist_sign(theta, e, mu.as_tuples())
+                        assert mn_character(g, star, mu) == sign * mn_character(g, lam, mu)
 
 
 class TestPermCharacter:
@@ -437,6 +458,53 @@ class TestCharacterColumn:
                 got = _peel_step(steps, remaining, length, k)
                 want = oracles.brute_peel_step(levels[remaining], levels[remaining - length], length)
                 assert [Counter(moves) for moves in got] == want, (remaining, length)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_representative_steps_match_cell_sets(self, name):
+        g = builtin(name)
+        top = 6 if g.k < 4 else 4
+        levels = [[mp.as_tuples() for mp in enumerate_multipartitions(m, g.k)] for m in range(top + 1)]
+        steps = {}
+        for remaining in range(1, top + 1):
+            orbits = _orbits(steps, remaining, g)
+            sources = [levels[remaining][i] for i in orbits.reps]
+            for length in range(1, remaining + 1):
+                got = _peel_step(steps, remaining, length, g.k, orbits)
+                want = oracles.brute_peel_step(sources, levels[remaining - length], length)
+                assert [Counter(moves) for moves in got] == want, (remaining, length)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_orbits_match_twisted_labels(self, name):
+        # every row is the twist of its representative by its map, and every
+        # representative is the least row of its orbit
+        g = builtin(name)
+        for m in range((6 if g.k < 4 else 4) + 1):
+            labels = multipartitions_of(m, g.k)
+            orbits = _orbits({}, m, g)
+            for row, (slot, s) in enumerate(zip(orbits.slot, orbits.sym)):
+                rep = orbits.reps[slot]
+                theta, e = orbits.symmetries[s]
+                assert oracles.twisted_label(g.table, labels[rep], theta, e) == labels[row]
+                orbit = {
+                    labels.index(oracles.twisted_label(g.table, labels[row], t, f))
+                    for t in g.table
+                    if t[g.identity_class] == 1
+                    for f in (0, 1)
+                }
+                assert rep == min(orbit)
+
+    def test_orbits_follow_the_table(self):
+        # S4 and D8 both have k = 5, so they share the step tables of one
+        # (n, k), but their linear characters and so their orbits differ; the
+        # loaded group is D8 with its rows in reverse order
+        doc = store(builtin("D8"))
+        doc.update(name="D8-reversed", table=doc["table"][::-1], trivial_char=4)
+        n = 3
+        for g in (builtin("S4"), builtin("D8"), load(json.dumps(doc))):
+            labels = mps(n, g.k)
+            for mu in labels:
+                assert character_column(g, n, mu.as_tuples()) == [mn_character(g, lam, mu) for lam in labels]
+            assert _step_tables(n, g.k)["orbits"][0] == g.table
 
     def test_rejects_wrong_total(self):
         with pytest.raises(ValueError):
