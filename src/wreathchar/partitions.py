@@ -27,6 +27,11 @@ from operator import sub
 from typing import Iterator, NamedTuple
 
 
+def _is_int(value) -> bool:
+    # a bool is an int to isinstance, but True is no part, count or key
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class Partition:
     """A weakly decreasing tuple of positive integers; () is the partition of 0."""
 
@@ -35,7 +40,7 @@ class Partition:
     def __init__(self, parts=()):
         parts = tuple(parts)
         for i, p in enumerate(parts):
-            if not isinstance(p, int) or isinstance(p, bool):
+            if not _is_int(p):
                 raise ValueError(f"parts must be integers, got {p!r} at index {i}")
             if p < 1:
                 raise ValueError(f"parts must be positive, got {p} at index {i}")

@@ -34,6 +34,7 @@ from .partitions import (
     MultiPartition,
     _completion_tables,
     _count_array,
+    _is_int,
     count_multipartitions,
     unrank_multipartition,
 )
@@ -44,11 +45,6 @@ DEFAULT_CONFIDENCE = 0.99
 
 _MASK64 = (1 << 64) - 1
 _DOMAIN = b"wreathchar.v1"
-
-
-def _is_int(value) -> bool:
-    # a bool is an int to isinstance, but True is no count and no key
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_key(name: str, value: int) -> None:

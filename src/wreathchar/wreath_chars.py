@@ -12,10 +12,12 @@ over indexed peel steps (``character_column``).  The column kernel pulls
 each step only on one representative per orbit of the linear characters
 Theta = (theta wr 1) sgn^e, since chi^lambda Theta is again irreducible,
 and fills in every other row by the sign Theta takes on the class peeled so
-far (``_Orbits``).  ``_columns`` is the one column loop: it maps
+far.  Its state is one ``_Level`` per level m for the latest (n, table):
+the index of the multipartitions of m, their orbits and the peel steps
+built on the representatives.  ``_columns`` is the one column loop: it maps
 ``character_column`` over a process pool (``_pool_map``, also the sampled
-censuses' pool) and owns the peel-step and orbit tables, which it drops when
-its columns are done or one fails.
+censuses' pool) and owns those levels, which it drops when its columns are
+done or one fails.
 Permutation-module values come from an independent row-decomposition DP.
 The two are linked by Kostka-product multiplicities, which the acceptance
 suite checks cell by cell.
@@ -41,6 +43,7 @@ from .partitions import (
     MultiPartition,
     Partition,
     _beta_mask,
+    _is_int,
     _multipartition_tuples,
     _strips,
     count_multipartitions,
@@ -56,6 +59,8 @@ class CellBudgetExceeded(RuntimeError):
 
 
 def _check_workers(workers: int):
+    if not _is_int(workers):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
@@ -78,8 +83,8 @@ def flatten_class(mu: Iterable[tuple[int, ...]]) -> tuple[tuple[int, int], ...]:
     from the back: the shortest parts go while the value vectors are short,
     and the last step, over the orbit representatives among the
     multipartitions of n, peels the longest part, which has the fewest strips
-    per entry.  The orbits' sign fill reads only how many parts of each class
-    have been peeled, so any order would do for it.
+    per entry.  The sign fill (``_Level.fill``) reads only how many parts of
+    each class have been peeled, so any order would do for it.
     """
     return tuple(sorted(((length, j) for j, comp in enumerate(mu) for length in comp), reverse=True))
 
@@ -156,67 +161,14 @@ def mn_character(group: GroupData, lam: MultiPartition, mu: MultiPartition) -> i
     return _mn_value(group.table, lam.as_tuples(), mu.as_tuples())
 
 
-# A peel step takes the values on the multipartitions of remaining - length
-# to those on the multipartitions of remaining.  Its moves depend only on
-# (remaining, length, k), never on the column, so a full table builds each
-# step once and every column reuses it.  The same dict holds, under the int
-# key m, the beta-set masks of the multipartitions of m, and under "orbits"
-# the latest table's _Orbits of each level with the steps built for them.
-# Only the latest (n, k) is kept, and _columns drops it once its columns are
-# in or one of them fails.
+# The column kernel's state for the latest (n, table): one _Level per level
+# m, built on first use.  A peel step depends on its level and length, never
+# on the column, so a full table builds each step once and every column
+# reuses it.  Only the latest key is kept, and _columns drops it once its
+# columns are in or one of them fails.
 @lru_cache(maxsize=1)
-def _step_tables(n: int, k: int) -> dict:
+def _step_tables(n: int, table: tuple) -> dict:
     return {}
-
-
-def _level_masks(steps: dict, m: int, k: int) -> tuple:
-    """One tuple of component beta-set masks per multipartition of m, in
-    canonical order; no component has a zero part."""
-    masks = steps.get(m)
-    if masks is None:
-        masks = steps[m] = tuple(tuple(map(_beta_mask, mp)) for mp in _multipartition_tuples(m, k))
-    return masks
-
-
-def _peel_step(steps: dict, remaining: int, length: int, k: int, orbits: _Orbits | None = None) -> tuple:
-    """One entry per multipartition of ``remaining`` in canonical order: its
-    moves (q, index of the remainder among the multipartitions of
-    remaining - length, (-1)^height), one per border strip of ``length``
-    that ``_strips`` finds on the mask of component q.
-
-    With the ``orbits`` of level ``remaining``, the entries of their
-    representatives only, in the order of ``orbits.reps``, cached in
-    ``orbits.steps`` so that they go with the table they were built for."""
-    cache, key = (steps, (remaining, length)) if orbits is None else (orbits.steps, length)
-    step = cache.get(key)
-    if step is None:
-        index = {masks: i for i, masks in enumerate(_level_masks(steps, remaining - length, k))}
-        sources = _level_masks(steps, remaining, k)
-        if orbits is not None:
-            sources = [sources[i] for i in orbits.reps]
-        # entries that make the same move share one tuple: the 48 steps of
-        # Z2 n=12 hold 1.1 MiB (tracemalloc) instead of 1.8
-        shared: dict = {}
-        # one component mask recurs in many multipartitions; peel it once.
-        # A strip may empty rows: their beads are the trailing one bits, and
-        # shifting them out gives the remainder the index's form.
-        peeled: dict = {}
-        entries = []
-        for masks in sources:
-            entry = []
-            for q, mask in enumerate(masks):
-                strips = peeled.get(mask)
-                if strips is None:
-                    strips = peeled[mask] = [
-                        (moved >> ((moved ^ (moved + 1)).bit_length() - 1), -1 if height & 1 else 1)
-                        for moved, height in _strips(mask, length)
-                    ]
-                for moved, sign in strips:
-                    move = (q, index[masks[:q] + (moved,) + masks[q + 1 :]], sign)
-                    entry.append(shared.setdefault(move, move))
-            entries.append(tuple(entry))
-        step = cache[key] = tuple(entries)
-    return step
 
 
 _FLIP = str.maketrans("01", "10")
@@ -229,9 +181,9 @@ def _conjugate_mask(mask: int) -> int:
 
 
 @dataclass
-class _Orbits:
-    """The multipartitions of m grouped into orbits of the linear characters
-    of G wr S_m that one table gives.
+class _Level:
+    """The multipartitions of m under one table: their index, their orbits
+    under the table's linear characters, and the peel steps built so far.
 
     A linear row theta of the table (+-1 on an integer table) and e in
     {0, 1} give Theta = (theta wr 1) sgn^e, and chi^lambda Theta =
@@ -243,6 +195,7 @@ class _Orbits:
     """
 
     m: int
+    index: dict  # per row's component beta-set masks: its position, in canonical order
     symmetries: tuple  # per map s: (theta's values on the classes, e)
     reps: tuple  # the representative rows, ascending
     slot: tuple  # per row: the position of its representative in reps
@@ -268,20 +221,16 @@ class _Orbits:
         return list(getter(rep_values + [-v for v in rep_values]))
 
 
-def _orbits(steps: dict, m: int, group: GroupData) -> _Orbits:
-    """The _Orbits of level m under group's table; steps holds those of the
-    latest table only."""
-    table = group.table
-    held = steps.get("orbits")
-    if held is None or held[0] != table:
-        held = steps["orbits"] = (table, {})
-    orbits = held[1].get(m)
-    if orbits is not None:
-        return orbits
-    k = group.k
-    levels = _level_masks(steps, m, k)
-    index = {masks: i for i, masks in enumerate(levels)}
-    conjugate = {mask: _conjugate_mask(mask) for mask in set().union(*levels)}
+def _level(levels: dict, m: int, group: GroupData) -> _Level:
+    """The _Level of m under group's table, built into levels on first use;
+    no component mask has a zero part."""
+    level = levels.get(m)
+    if level is not None:
+        return level
+    table, k = group.table, group.k
+    rows = [tuple(map(_beta_mask, mp)) for mp in _multipartition_tuples(m, k)]
+    index = {masks: i for i, masks in enumerate(rows)}
+    conjugate = {mask: _conjugate_mask(mask) for mask in set().union(*rows)}
     row_of = {row: q for q, row in enumerate(table)}
     symmetries = []
     images = []
@@ -293,7 +242,7 @@ def _orbits(steps: dict, m: int, group: GroupData) -> _Orbits:
         for e in (0, 1):
             symmetries.append((theta, e))
             image = []
-            for masks in levels:
+            for masks in rows:
                 moved = [0] * k
                 for q, mask in enumerate(masks):
                     moved[to[q]] = conjugate[mask] if e else mask
@@ -303,14 +252,51 @@ def _orbits(steps: dict, m: int, group: GroupData) -> _Orbits:
     least = [min(zip(orbit, range(len(images)))) for orbit in zip(*images)]
     reps = sorted({rep for rep, _ in least})
     position = {rep: i for i, rep in enumerate(reps)}
-    orbits = held[1][m] = _Orbits(
+    level = levels[m] = _Level(
         m=m,
+        index=index,
         symmetries=tuple(symmetries),
         reps=tuple(reps),
         slot=tuple(position[rep] for rep, _ in least),
         sym=tuple(s for _, s in least),
     )
-    return orbits
+    return level
+
+
+def _peel_step(levels: dict, remaining: int, length: int, group: GroupData) -> tuple:
+    """One entry per representative of level ``remaining``, in the order of
+    its ``reps``: the moves (q, index of the remainder among the
+    multipartitions of remaining - length, (-1)^height), one per border strip
+    of ``length`` that ``_strips`` finds on the mask of component q.  Kept in
+    the level's ``steps``."""
+    level = _level(levels, remaining, group)
+    step = level.steps.get(length)
+    if step is None:
+        index = _level(levels, remaining - length, group).index
+        rows = list(level.index)
+        # entries that make the same move share one tuple: the 48 steps of
+        # Z2 n=12 hold 1.1 MiB (tracemalloc) instead of 1.8
+        shared: dict = {}
+        # one component mask recurs in many multipartitions; peel it once.
+        # A strip may empty rows: their beads are the trailing one bits, and
+        # shifting them out gives the remainder the index's form.
+        peeled: dict = {}
+        entries = []
+        for masks in map(rows.__getitem__, level.reps):
+            entry = []
+            for q, mask in enumerate(masks):
+                strips = peeled.get(mask)
+                if strips is None:
+                    strips = peeled[mask] = [
+                        (moved >> ((moved ^ (moved + 1)).bit_length() - 1), -1 if height & 1 else 1)
+                        for moved, height in _strips(mask, length)
+                    ]
+                for moved, sign in strips:
+                    move = (q, index[masks[:q] + (moved,) + masks[q + 1 :]], sign)
+                    entry.append(shared.setdefault(move, move))
+            entries.append(tuple(entry))
+        step = level.steps[length] = tuple(entries)
+    return step
 
 
 def character_column(group: GroupData, n: int, mu_tuples) -> list[int]:
@@ -319,22 +305,24 @@ def character_column(group: GroupData, n: int, mu_tuples) -> list[int]:
     ``multipartitions_of(n, group.k)``.
 
     Each step is pulled only on one representative row per orbit of the
-    linear characters (``_Orbits``) and filled in on the other rows by
-    sign: at the partial class nu peeled so far, each row's value is its
+    linear characters (``_Level``) and filled in on the other rows by sign:
+    at the partial class nu peeled so far, each row's value is its
     representative's times Theta(nu) = +-1.
 
     Raises ValueError unless n >= 0 and mu_tuples is a label of the table:
-    group.k components whose parts sum to n.
+    group.k components of parts >= 1 that sum to n.
     """
     k = group.k
     if n < 0:
         raise ValueError("n must be nonnegative")
     if len(mu_tuples) != k:
         raise ValueError(f"class label needs k={k} components, got {len(mu_tuples)}")
+    if any(part < 1 for comp in mu_tuples for part in comp):
+        raise ValueError(f"class label {mu_tuples} has a part below 1")
     if sum(map(sum, mu_tuples)) != n:
         raise ValueError(f"class label {mu_tuples} does not have total {n}")
     table = group.table
-    steps = _step_tables(n, k)
+    levels = _step_tables(n, table)
     values = [1]  # the one multipartition of 0
     remaining = 0
     odd = [0] * k  # the parity of each component's length in nu
@@ -342,16 +330,15 @@ def character_column(group: GroupData, n: int, mu_tuples) -> list[int]:
         remaining += length
         odd[j] ^= 1
         factors = [table[q][j] for q in range(k)]
-        orbits = _orbits(steps, remaining, group)
         reps = []
-        for moves in _peel_step(steps, remaining, length, k, orbits):
+        for moves in _peel_step(levels, remaining, length, group):
             acc = 0
             for q, target, sign in moves:
                 sub = values[target]
                 if sub:
                     acc += sign * factors[q] * sub
             reps.append(acc)
-        values = orbits.fill(reps, tuple(odd))
+        values = levels[remaining].fill(reps, tuple(odd))
     return values
 
 

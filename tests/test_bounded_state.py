@@ -1,8 +1,8 @@
 """Module state stays bounded over a long mixed sequence of engine calls.
 
-The column path keeps its peel steps, level masks and orbits in
-``_step_tables`` only while its columns run, and the orbits of the latest
-group table only; ``multipartitions_of`` holds the latest (n, k),
+The column path keeps one ``_Level`` per level (index, orbits and peel
+steps) in ``_step_tables`` only while its columns run, and for the latest
+(n, table) only; ``multipartitions_of`` holds the latest (n, k),
 ``kostka`` keeps its memo for one call, and nothing on the engine's paths
 fills the ``_strip_removals`` cache of ``remove_rimhooks``.
 """
@@ -19,6 +19,7 @@ from wreathchar.weyl_d import dn_restricted_census
 from wreathchar.wreath_chars import (
     _columns,
     _kostka_rec,
+    _Level,
     _step_tables,
     character_column,
     character_table,
@@ -48,18 +49,17 @@ def test_mixed_calls_leave_bounded_caches():
 
 
 def test_orbits_of_the_latest_table_only():
-    # S4, D8 and Q8 all have k = 5 and share the step tables of n = 3
+    # S4, D8 and Q8 all have k = 5: the same multipartitions of n = 3, three tables
     n = 3
     labels = multipartitions_of(n, 5)
     for name in ("S4", "D8", "Q8", "S4"):
         g = builtin(name)
         for mu in labels[::7]:
             character_column(g, n, mu)
-        steps = _step_tables(n, 5)
         assert _step_tables.cache_info().currsize == 1
-        assert [key for key in steps if not isinstance(key, int)] == ["orbits"]
-        table, levels = steps["orbits"]
-        assert table == g.table
-        assert n in levels and set(levels) <= set(range(1, n + 1))
+        levels = _step_tables(n, g.table)  # the columns' own levels, not a new dict
+        assert _step_tables.cache_info().currsize == 1
+        assert n in levels and set(levels) <= set(range(n + 1))
+        assert all(isinstance(level, _Level) for level in levels.values())
     assert len(list(_columns(g, n, labels[:5]))) == 5
     assert _step_tables.cache_info().currsize == 0

@@ -21,6 +21,7 @@ from wreathchar.stats import (
     wilson_interval,
 )
 from wreathchar.weyl_d import dn_restricted_census
+from wreathchar.wreath_chars import character_table
 
 import oracles
 
@@ -269,6 +270,30 @@ class TestSampledArguments:
         report = SAMPLED_CENSUSES[census](3, 2**64 - 1)
         assert (report.samples, report.cells_evaluated, report.seed) == (3, 3, 2**64 - 1)
         assert type(report.samples) is int and 0 <= report.divisible_count <= 3
+
+
+# each API entry that takes a worker count, as a function of it
+WORKER_CALLS = {
+    "character_table": lambda workers: character_table(Z2, 3, workers=workers),
+    "exact_census": lambda workers: exact_census(Z2, 3, 2, workers=workers),
+    "sampled_census": lambda workers: sampled_census(Z2, 6, 2, samples=3, seed=1, workers=workers),
+}
+
+
+class TestWorkersArgument:
+    """A bool or non-int worker count is named before any pool is asked for."""
+
+    @pytest.mark.parametrize("call", WORKER_CALLS)
+    @pytest.mark.parametrize("workers", [True, False, 2.5, 2.0, "2"])
+    def test_workers_must_be_an_int(self, pool_requests, call, workers):
+        with pytest.raises(ValueError, match=rf"^workers must be an integer, got {re.escape(repr(workers))}$"):
+            WORKER_CALLS[call](workers)
+        assert pool_requests == []
+
+    @pytest.mark.parametrize("call", WORKER_CALLS)
+    def test_int_workers_ask_for_a_pool(self, pool_requests, call):
+        WORKER_CALLS[call](2)
+        assert pool_requests[0] == 2
 
 
 class TestPinnedSamples:

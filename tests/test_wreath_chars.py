@@ -29,8 +29,9 @@ from wreathchar.wreath_chars import (
     mn_character,
     perm_character,
     perm_multiplicity,
+    _Level,
+    _level,
     _mn_beads,
-    _orbits,
     _peel_step,
     _step_tables,
 )
@@ -448,29 +449,16 @@ class TestCharacterColumn:
                 assert col == [mn_character(g, lam, mu) for lam in labels]
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
-    def test_peel_steps_match_cell_sets(self, name):
-        k = builtin(name).k
-        top = 6 if k < 4 else 4
-        levels = [[mp.as_tuples() for mp in enumerate_multipartitions(m, k)] for m in range(top + 1)]
-        steps = {}
-        for remaining in range(1, top + 1):
-            for length in range(1, remaining + 1):
-                got = _peel_step(steps, remaining, length, k)
-                want = oracles.brute_peel_step(levels[remaining], levels[remaining - length], length)
-                assert [Counter(moves) for moves in got] == want, (remaining, length)
-
-    @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_representative_steps_match_cell_sets(self, name):
         g = builtin(name)
         top = 6 if g.k < 4 else 4
-        levels = [[mp.as_tuples() for mp in enumerate_multipartitions(m, g.k)] for m in range(top + 1)]
-        steps = {}
+        labels = [[mp.as_tuples() for mp in enumerate_multipartitions(m, g.k)] for m in range(top + 1)]
+        levels = {}
         for remaining in range(1, top + 1):
-            orbits = _orbits(steps, remaining, g)
-            sources = [levels[remaining][i] for i in orbits.reps]
+            sources = [labels[remaining][i] for i in _level(levels, remaining, g).reps]
             for length in range(1, remaining + 1):
-                got = _peel_step(steps, remaining, length, g.k, orbits)
-                want = oracles.brute_peel_step(sources, levels[remaining - length], length)
+                got = _peel_step(levels, remaining, length, g)
+                want = oracles.brute_peel_step(sources, labels[remaining - length], length)
                 assert [Counter(moves) for moves in got] == want, (remaining, length)
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -480,10 +468,11 @@ class TestCharacterColumn:
         g = builtin(name)
         for m in range((6 if g.k < 4 else 4) + 1):
             labels = multipartitions_of(m, g.k)
-            orbits = _orbits({}, m, g)
-            for row, (slot, s) in enumerate(zip(orbits.slot, orbits.sym)):
-                rep = orbits.reps[slot]
-                theta, e = orbits.symmetries[s]
+            level = _level({}, m, g)
+            assert [level.index[tuple(map(_beta_mask, mp))] for mp in labels] == list(range(len(labels)))
+            for row, (slot, s) in enumerate(zip(level.slot, level.sym)):
+                rep = level.reps[slot]
+                theta, e = level.symmetries[s]
                 assert oracles.twisted_label(g.table, labels[rep], theta, e) == labels[row]
                 orbit = {
                     labels.index(oracles.twisted_label(g.table, labels[row], t, f))
@@ -494,9 +483,9 @@ class TestCharacterColumn:
                 assert rep == min(orbit)
 
     def test_orbits_follow_the_table(self):
-        # S4 and D8 both have k = 5, so they share the step tables of one
-        # (n, k), but their linear characters and so their orbits differ; the
-        # loaded group is D8 with its rows in reverse order
+        # S4 and D8 both have k = 5, so their levels hold the same
+        # multipartitions, but their linear characters and so their orbits
+        # differ; the loaded group is D8 with its rows in reverse order
         doc = store(builtin("D8"))
         doc.update(name="D8-reversed", table=doc["table"][::-1], trivial_char=4)
         n = 3
@@ -504,7 +493,9 @@ class TestCharacterColumn:
             labels = mps(n, g.k)
             for mu in labels:
                 assert character_column(g, n, mu.as_tuples()) == [mn_character(g, lam, mu) for lam in labels]
-            assert _step_tables(n, g.k)["orbits"][0] == g.table
+            levels = _step_tables(n, g.table)  # the columns' own levels, not a new dict
+            assert _step_tables.cache_info().currsize == 1
+            assert n in levels and all(isinstance(level, _Level) for level in levels.values())
 
     def test_rejects_wrong_total(self):
         with pytest.raises(ValueError):
@@ -517,6 +508,11 @@ class TestCharacterColumn:
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
             character_column(Z2, -1, ((), ()))
+
+    @pytest.mark.parametrize("mu", [((3, -1), ()), ((0, 2), ()), ((2,), (0,))])
+    def test_rejects_part_below_one(self, mu):
+        with pytest.raises(ValueError, match=r"^class label .* has a part below 1$"):
+            character_column(Z2, 2, mu)
 
 
 class TestPoolMap:
