@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import MultiPartition, is_t_core
+from .partitions import MultiPartition, _check_int, is_t_core
 from .wreath_chars import _check_query
 
 
@@ -37,6 +37,7 @@ def is_prime(p: int) -> bool:
 
 
 def require_prime(p: int):
+    _check_int("p", p)
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
 

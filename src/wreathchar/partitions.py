@@ -32,6 +32,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_int(name: str, value) -> None:
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class Partition:
     """A weakly decreasing tuple of positive integers; () is the partition of 0."""
 
@@ -238,6 +243,7 @@ def _count_array(n: int, k: int) -> list[int]:
 
 def count_partitions(n: int) -> int:
     """p(n) by the Euler pentagonal-number recurrence, exact."""
+    _check_int("n", n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     return _count_array(n, 1)[n]
@@ -245,6 +251,8 @@ def count_partitions(n: int) -> int:
 
 def count_multipartitions(n: int, k: int) -> int:
     """p_k(n), exact, read off the cached pentagonal p_k array."""
+    _check_int("n", n)
+    _check_int("k", k)
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
     return _count_array(n, k)[n]
@@ -438,6 +446,9 @@ def _completion_tables(n: int, k: int) -> list[tuple[list[list[int]], list[int],
 
 def unrank_multipartition(n: int, k: int, index: int) -> MultiPartition:
     """The index-th k-multipartition of n in canonical order (0-based)."""
+    _check_int("n", n)
+    _check_int("k", k)
+    _check_int("index", index)
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
     tables = _completion_tables(n, k)

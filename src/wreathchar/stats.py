@@ -32,6 +32,7 @@ from .base_group import GroupData
 from .congruence import _mash_component, mash_canonical, require_prime, zero_certificate
 from .partitions import (
     MultiPartition,
+    _check_int,
     _completion_tables,
     _count_array,
     _is_int,
@@ -263,10 +264,11 @@ def _sampled_census(
     confidence is given.  draw(seed, i) depends only on (seed, i), so the
     report is the same for any worker count; draw and test must pickle."""
     require_prime(p)
+    _check_int("n", n)
+    _check_int("group_k", group_k)
     if group_k < 1:
         raise ValueError("group_k must be >= 1")
-    if not _is_int(samples):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
+    _check_int("samples", samples)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     _check_key("seed", seed)
@@ -354,6 +356,8 @@ def concentration_check(k: int, n: int, delta) -> Fraction:
     d = _as_fraction(delta)
     if not 0 < d < 1:
         raise ValueError("delta must be in (0, 1)")
+    _check_int("k", k)
+    _check_int("n", n)
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
     lo = Fraction(n, k) * (1 - d)

@@ -24,6 +24,7 @@ from .base_group import builtin
 from .congruence import _mash_component, require_prime
 from .partitions import (
     MultiPartition,
+    _check_int,
     count_multipartitions,
     count_partitions,
     multipartitions_of,
@@ -139,6 +140,7 @@ def dn_restricted_census(
     congruent to those of the D_N column, which is all the census reads.
     """
     require_prime(p)
+    _check_int("n", n)
     group = builtin("Z2")
     census = dn_irrep_census(n)
     columns = _dn_column_count(n)

@@ -17,7 +17,8 @@ the index of the multipartitions of m, their orbits and the peel steps
 built on the representatives.  ``_columns`` is the one column loop: it maps
 ``character_column`` over a process pool (``_pool_map``, also the sampled
 censuses' pool) and owns those levels, which it drops when its columns are
-done or one fails.
+done or one fails.  ``_pool_map`` imports ``concurrent.futures`` only when it
+starts two or more processes, so a serial run never loads the pool machinery.
 Permutation-module values come from an independent row-decomposition DP.
 The two are linked by Kostka-product multiplicities, which the acceptance
 suite checks cell by cell.
@@ -31,7 +32,6 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from math import factorial
@@ -43,6 +43,7 @@ from .partitions import (
     MultiPartition,
     Partition,
     _beta_mask,
+    _check_int,
     _is_int,
     _multipartition_tuples,
     _strips,
@@ -59,8 +60,7 @@ class CellBudgetExceeded(RuntimeError):
 
 
 def _check_workers(workers: int):
-    if not _is_int(workers):
-        raise ValueError(f"workers must be an integer, got {workers!r}")
+    _check_int("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
@@ -309,16 +309,21 @@ def character_column(group: GroupData, n: int, mu_tuples) -> list[int]:
     at the partial class nu peeled so far, each row's value is its
     representative's times Theta(nu) = +-1.
 
-    Raises ValueError unless n >= 0 and mu_tuples is a label of the table:
-    group.k components of parts >= 1 that sum to n.
+    Raises ValueError unless n is an integer >= 0 and mu_tuples is a label
+    of the table: group.k components of integer parts >= 1 that sum to n.
     """
     k = group.k
+    _check_int("n", n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if len(mu_tuples) != k:
         raise ValueError(f"class label needs k={k} components, got {len(mu_tuples)}")
-    if any(part < 1 for comp in mu_tuples for part in comp):
-        raise ValueError(f"class label {mu_tuples} has a part below 1")
+    for comp in mu_tuples:
+        for part in comp:
+            if not _is_int(part):
+                raise ValueError(f"class label {mu_tuples} has a non-integer part {part!r}")
+            if part < 1:
+                raise ValueError(f"class label {mu_tuples} has a part below 1")
     if sum(map(sum, mu_tuples)) != n:
         raise ValueError(f"class label {mu_tuples} does not have total {n}")
     table = group.table
@@ -351,6 +356,9 @@ def _pool_map(fn, items, workers: int):
     if procs < 2:
         yield from map(fn, items)
         return
+    # imported here, so that a serial run never loads the pool machinery
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=procs) as pool:
         yield from pool.map(fn, items, chunksize=max(1, len(items) // (4 * procs)))
 
@@ -554,6 +562,7 @@ def character_table(
 ) -> CharTable:
     """All p_k(n)^2 entries, columns computed independently (order-deterministic
     regardless of worker schedule); refuses when the cell count exceeds budget."""
+    _check_int("n", n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_workers(workers)

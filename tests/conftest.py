@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import pytest
 
 from wreathchar import wreath_chars
@@ -24,6 +26,6 @@ def pool_requests(monkeypatch):
             asked.append(chunksize)
             return map(fn, items)
 
-    monkeypatch.setattr(wreath_chars, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(wreath_chars.os, "cpu_count", lambda: 8)
     return asked

@@ -429,6 +429,46 @@ class TestHelp:
         assert done.stdout.strip() == f"wreathchar {wreathchar.__version__}"
 
 
+# a fresh interpreter that imports the CLI, runs argv (if any) with stdout
+# discarded and prints which pool modules it has loaded
+COLD_START = """
+import io, sys
+from contextlib import redirect_stdout
+import wreathchar.cli as cli
+argv = {argv!r}
+if argv:
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+print([name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules])
+"""
+
+
+class TestColdStart:
+    """A serial run never loads the process-pool machinery."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            None,
+            ["census", "--group", "Z2", "--n", "4", "--p", "2", "--workers", "1"],
+            ["table", "--group", "S3", "--n", "3", "--format", "csv", "--workers", "1"],
+            ["sample-census", "--group", "Z2", "--n", "6", "--p", "2", "--samples", "10", "--seed", "1", "--workers", "1"],
+            ["cert-census", "--k", "2", "--n", "40", "--p", "2", "--samples", "10", "--seed", "1", "--workers", "1"],
+            ["dn-census", "--n", "6", "--p", "3"],
+            ["dn-census", "--n", "6", "--p", "3", "--mode", "sampled", "--samples", "10", "--seed", "1"],
+        ],
+        ids=lambda argv: argv[0] if argv else "import",
+    )
+    def test_no_pool_modules(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(wreathchar.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", COLD_START.format(argv=argv)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+
 class TestOutputErrors:
     def test_closed_pipe_exits_141_quietly(self):
         env = dict(os.environ, PYTHONPATH=str(Path(wreathchar.__file__).resolve().parents[1]))

@@ -40,6 +40,11 @@ class TestPrimality:
         with pytest.raises(ValueError):
             mash_canonical(MultiPartition([[2, 2]]), 1)
 
+    @pytest.mark.parametrize("p", [2.0, True, "2"])
+    def test_rejects_non_integer_p(self, p):
+        with pytest.raises(ValueError, match=rf"^p must be an integer, got {p!r}$"):
+            mash_canonical(MultiPartition([[2, 2]]), p)
+
 
 class TestMashCanonical:
     def test_mod3_merge_chain(self):

@@ -147,6 +147,23 @@ class TestCounting:
     def test_p_1e4_needs_bignums(self):
         assert count_partitions(10_000) > 10**100
 
+    @pytest.mark.parametrize(
+        "args, want",
+        [
+            ((4.0, 2), "n must be an integer, got 4.0"),
+            ((True, 2), "n must be an integer, got True"),
+            ((4, 2.0), "k must be an integer, got 2.0"),
+        ],
+    )
+    def test_rejects_non_integer_sizes(self, args, want):
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            count_multipartitions(*args)
+
+    @pytest.mark.parametrize("n", [5.0, True])
+    def test_rejects_non_integer_partition_size(self, n):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            count_partitions(n)
+
 
 class TestHooks:
     def test_hook_table_4_2_1(self):
@@ -320,6 +337,19 @@ class TestUnranking:
 
     def test_zero(self):
         assert unrank_multipartition(0, 3, 0).as_tuples() == ((), (), ())
+
+    @pytest.mark.parametrize(
+        "args, want",
+        [
+            ((4, 2, True), "index must be an integer, got True"),
+            ((4, 2, 1.0), "index must be an integer, got 1.0"),
+            ((4.0, 2, 0), "n must be an integer, got 4.0"),
+            ((4, True, 0), "k must be an integer, got True"),
+        ],
+    )
+    def test_rejects_non_integer_arguments(self, args, want):
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            unrank_multipartition(*args)
 
     def test_bijection_small(self):
         for n in range(0, 9):

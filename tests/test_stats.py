@@ -296,6 +296,28 @@ class TestWorkersArgument:
         assert pool_requests[0] == 2
 
 
+# each census entry with one bool or non-int argument, and the error it
+# names; a zero cell budget shows that the check runs before the budget test
+NON_INTEGER_CALLS = {
+    "exact n": (lambda: exact_census(Z2, True, 2, cell_budget=0), "n", True),
+    "exact p": (lambda: exact_census(Z2, 3, 2.0), "p", 2.0),
+    "sampled n": (lambda: sampled_census(Z2, 6.0, 2, 3, 1), "n", 6.0),
+    "sampled p": (lambda: sampled_census(Z2, 6, True, 3, 1), "p", True),
+    "certificate group_k": (lambda: certificate_census(True, 10, 2, 5, 1), "group_k", True),
+    "certificate n": (lambda: certificate_census(2, 10.0, 2, 5, 1), "n", 10.0),
+    "dn-exact n": (lambda: dn_restricted_census(True, 2, cell_budget=0), "n", True),
+    "dn-sampled n": (lambda: dn_restricted_census(6.0, 2, "sampled", 3, 1), "n", 6.0),
+    "dn p": (lambda: dn_restricted_census(6, 3.0), "p", 3.0),
+}
+
+
+@pytest.mark.parametrize("case", NON_INTEGER_CALLS)
+def test_census_rejects_non_integer_argument(case):
+    call, name, value = NON_INTEGER_CALLS[case]
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        call()
+
+
 class TestPinnedSamples:
     """Divisible counts measured before the sample loops were merged into one
     driver; a change to the draws or to the per-sample tests shows here."""
@@ -345,6 +367,11 @@ class TestConcentration:
 
     def test_accepts_fraction(self):
         assert concentration_check(2, 2, Fraction(1, 2)) == Fraction(1, 5)
+
+    @pytest.mark.parametrize("k, n, want", [(2, 4.0, "n must be an integer, got 4.0"), (True, 4, "k must be an integer, got True")])
+    def test_rejects_non_integer_sizes(self, k, n, want):
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            concentration_check(k, n, 0.3)
 
     def test_window_is_open(self):
         # n=4, k=2, delta=1/2: window (1,3), sizes must be exactly 2

@@ -322,6 +322,11 @@ class TestCharacterTable:
         t = character_table(Z2, 0)
         assert t.values == ((1,),)
 
+    @pytest.mark.parametrize("n", [True, 3.0])
+    def test_rejects_non_integer_n_before_the_budget(self, n):
+        with pytest.raises(ValueError, match=rf"^n must be an integer, got {n!r}$"):
+            character_table(Z2, n, cell_budget=0)
+
     def test_z2_n2_degrees(self):
         t = character_table(Z2, 2)
         identity = t.col_labels.index(MultiPartition([[1, 1], []]))
@@ -513,6 +518,18 @@ class TestCharacterColumn:
     def test_rejects_part_below_one(self, mu):
         with pytest.raises(ValueError, match=r"^class label .* has a part below 1$"):
             character_column(Z2, 2, mu)
+
+    @pytest.mark.parametrize(
+        "mu, part", [(((True, True), ()), "True"), (((1.0, 1.0), ()), "1.0"), (((1,), ("1",)), "'1'")]
+    )
+    def test_rejects_non_integer_part(self, mu, part):
+        with pytest.raises(ValueError, match=rf"^class label .* has a non-integer part {part}$"):
+            character_column(Z2, 2, mu)
+
+    @pytest.mark.parametrize("n", [True, 2.0])
+    def test_rejects_non_integer_n(self, n):
+        with pytest.raises(ValueError, match=rf"^n must be an integer, got {n!r}$"):
+            character_column(Z2, n, ((1, 1), ()))
 
 
 class TestPoolMap:
