@@ -58,7 +58,7 @@ def _parse_label(text: str) -> MultiPartition:
             isinstance(comp, list) and all(type(part) is int for part in comp) for comp in data
         ):
             raise TypeError("expected a JSON list of lists of integers")
-        return MultiPartition.from_tuples(data)
+        return MultiPartition(data)
     except (ValueError, TypeError) as exc:
         raise UsageError(f"bad multipartition label {text!r}: {exc}") from None
 
@@ -146,9 +146,8 @@ def _cmd_table(args) -> int:
 def _cmd_mash(args) -> int:
     mu = _parse_label(args.mu)
     mashed = mash_canonical(mu, args.p)
-    canonical = [list(c.parts) for c in mashed.canonical.components]
     payload = {
-        "canonical": canonical,
+        "canonical": mashed.canonical,
         "largest_part": mashed.largest_part,
         "config": _config_echo(args),
     }
@@ -156,7 +155,7 @@ def _cmd_mash(args) -> int:
         args,
         payload,
         csv_columns=("canonical", "largest_part"),
-        csv_values=(json.dumps(canonical, separators=(",", ":")), str(mashed.largest_part)),
+        csv_values=(json.dumps(mashed.canonical, separators=(",", ":")), str(mashed.largest_part)),
     )
     return EXIT_OK
 

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import MultiPartition, _check_int, is_t_core
+from .partitions import MultiPartition, _check_int, _check_pair, _is_int, is_t_core
 from .wreath_chars import _check_query
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
+    """True iff p is an int (not a bool) and a prime."""
+    if not _is_int(p) or p < 2:
         return False
     if p < 4:
         return True
@@ -75,22 +76,14 @@ def _mash_component(parts: tuple[int, ...], p: int) -> tuple[int, ...]:
 def mash_canonical(mu: MultiPartition, p: int) -> MashedClass:
     """Merge-maximal representative of mu's equivalence class mod p."""
     require_prime(p)
-    canon = tuple(_mash_component(parts, p) for parts in mu.as_tuples())
-    largest = max((comp[0] for comp in canon if comp), default=0)
-    return MashedClass(
-        original=mu,
-        prime=p,
-        canonical=MultiPartition._from_valid(canon),
-        largest_part=largest,
-    )
+    canonical = MultiPartition._from_valid([_mash_component(parts, p) for parts in mu])
+    largest = max((comp[0] for comp in canonical if comp), default=0)
+    return MashedClass(original=mu, prime=p, canonical=canonical, largest_part=largest)
 
 
 def sim_p_equivalent(mu: MultiPartition, nu: MultiPartition, p: int) -> bool:
     """True iff mu and nu share the canonical mashed form."""
-    if mu.k != nu.k:
-        raise ValueError(f"component counts differ: {mu.k} vs {nu.k}")
-    if mu.total != nu.total:
-        raise ValueError(f"totals differ: {mu.total} vs {nu.total}")
+    _check_pair(mu, nu)
     return mash_canonical(mu, p).canonical == mash_canonical(nu, p).canonical
 
 
@@ -98,14 +91,11 @@ def zero_certificate(lam: MultiPartition, mashed: MashedClass) -> bool:
     """True iff the largest mashed part t >= 1 and every component of lambda
     is a t-core, in which case chi^lambda vanishes on the canonical class
     (no rimhook of length t fits anywhere, and the value is order-free)."""
-    if lam.k != mashed.canonical.k:
-        raise ValueError(f"component counts differ: {lam.k} vs {mashed.canonical.k}")
-    if lam.total != mashed.canonical.total:
-        raise ValueError(f"totals differ: {lam.total} vs {mashed.canonical.total}")
+    _check_pair(lam, mashed.canonical)
     t = mashed.largest_part
     if t < 1:
         return False
-    return all(is_t_core(comp, t) for comp in lam.components)
+    return all(is_t_core(comp, t) for comp in lam)
 
 
 def predicted_divisible(group, lam: MultiPartition, mu: MultiPartition, p: int) -> bool:

@@ -1,6 +1,12 @@
 """Integer partitions and k-multipartitions: enumeration, exact counting,
 hooks, rimhooks, t-cores, dominance, and rank/unrank in the canonical order.
 
+A label is its part tuples: ``Partition`` is a tuple of its parts and
+``MultiPartition`` a tuple of its ``Partition`` components, so a label
+equals, hashes and orders as the plain tuple of part tuples, and every
+module reads it as one.  The constructors validate; ``_from_valid`` is the
+one unchecked constructor, for parts valid by construction.
+
 A beta-set has one form, the bits of one Python int (``_beta_mask``), and
 border strips have one primitive on it, ``_strips``: the single-cell and the
 whole-column character kernels peel through it, and ``remove_rimhooks``
@@ -37,12 +43,13 @@ def _check_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-class Partition:
-    """A weakly decreasing tuple of positive integers; () is the partition of 0."""
+class Partition(tuple):
+    """A weakly decreasing tuple of positive integers; () is the partition of 0.
+    It equals, hashes and orders as the plain tuple of its parts."""
 
-    __slots__ = ("parts", "size")
+    __slots__ = ()
 
-    def __init__(self, parts=()):
+    def __new__(cls, parts=()):
         parts = tuple(parts)
         for i, p in enumerate(parts):
             if not _is_int(p):
@@ -51,83 +58,74 @@ class Partition:
                 raise ValueError(f"parts must be positive, got {p} at index {i}")
             if i and parts[i - 1] < p:
                 raise ValueError(f"parts must be weakly decreasing, got {parts}")
-        self.parts = parts
-        self.size = sum(parts)
+        return tuple.__new__(cls, parts)
 
     @classmethod
     def _from_valid(cls, parts: tuple[int, ...]) -> "Partition":
         """A partition from parts already known to be valid; no checks."""
-        self = cls.__new__(cls)
-        self.parts = parts
-        self.size = sum(parts)
+        return tuple.__new__(cls, parts)
+
+    @property
+    def parts(self) -> "Partition":
+        """The parts: the partition itself."""
         return self
 
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __lt__(self, other):
-        return self.parts < other.parts
+    @property
+    def size(self) -> int:
+        return sum(self)
 
     def __repr__(self):
-        return f"Partition({list(self.parts)})"
-
-    def __len__(self):
-        return len(self.parts)
+        return f"Partition({list(self)})"
 
     def conjugate(self) -> "Partition":
-        parts = self.parts
-        if not parts:
+        if not self:
             return Partition()
-        return Partition(sum(1 for p in parts if p > i) for i in range(parts[0]))
+        return Partition(sum(1 for p in self if p > i) for i in range(self[0]))
 
 
-class MultiPartition:
-    """A k-tuple of partitions; ``total`` is the sum of the component sizes."""
+class MultiPartition(tuple):
+    """A k-tuple of partitions; ``total`` is the sum of the component sizes.
+    It equals, hashes and orders as the plain tuple of its part tuples."""
 
-    __slots__ = ("components", "total")
+    __slots__ = ()
 
-    def __init__(self, components):
+    def __new__(cls, components):
         comps = tuple(c if isinstance(c, Partition) else Partition(c) for c in components)
         if not comps:
             raise ValueError("a multipartition needs at least one component")
-        self.components = comps
-        self.total = sum(c.size for c in comps)
+        return tuple.__new__(cls, comps)
+
+    @property
+    def components(self) -> "MultiPartition":
+        """The components: the multipartition itself."""
+        return self
 
     @property
     def k(self) -> int:
-        return len(self.components)
+        return len(self)
 
-    def as_tuples(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(c.parts for c in self.components)
+    @property
+    def total(self) -> int:
+        return sum(map(sum, self))
+
+    def as_tuples(self) -> "MultiPartition":
+        """The tuple of part tuples: the multipartition itself."""
+        return self
 
     @classmethod
     def from_tuples(cls, tuples) -> "MultiPartition":
-        return cls([Partition(t) for t in tuples])
+        """The same as ``MultiPartition(tuples)``."""
+        return cls(tuples)
 
     @classmethod
     def _from_valid(cls, tuples) -> "MultiPartition":
         """From part tuples that are valid by construction (unranking,
         mashing): at least one, each weakly decreasing positive ints.  Nothing
         is checked again; every public constructor validates."""
-        self = cls.__new__(cls)
-        self.components = comps = tuple(map(Partition._from_valid, tuples))
-        self.total = sum(c.size for c in comps)
-        return self
-
-    def __eq__(self, other):
-        return isinstance(other, MultiPartition) and self.as_tuples() == other.as_tuples()
-
-    def __hash__(self):
-        return hash(self.as_tuples())
-
-    def __lt__(self, other):
-        return self.as_tuples() < other.as_tuples()
+        return tuple.__new__(cls, [tuple.__new__(Partition, parts) for parts in tuples])
 
     def __repr__(self):
-        return f"MultiPartition({[list(c.parts) for c in self.components]})"
+        return f"MultiPartition({[list(c) for c in self]})"
 
 
 class RimhookRemoval(NamedTuple):
@@ -180,14 +178,14 @@ def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n, descending lex order; length equals count_partitions(n)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return [Partition(t) for t in _partition_tuples(n)]
+    return [Partition._from_valid(t) for t in _partition_tuples(n)]
 
 
 def enumerate_multipartitions(n: int, k: int) -> Iterator[MultiPartition]:
     """All k-multipartitions of n in the canonical descending-lex order."""
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
-    return (MultiPartition.from_tuples(t) for t in _multipartition_tuples(n, k))
+    return (MultiPartition._from_valid(t) for t in _multipartition_tuples(n, k))
 
 
 @lru_cache(maxsize=1)
@@ -264,12 +262,8 @@ def count_multipartitions(n: int, k: int) -> int:
 
 def hook_lengths(p: Partition) -> list[list[int]]:
     """Hook length of every cell, row by row (arm + leg + 1)."""
-    parts = p.parts
-    conj = p.conjugate().parts
-    return [
-        [(parts[i] - j) + (conj[j] - i) - 1 for j in range(parts[i])]
-        for i in range(len(parts))
-    ]
+    conj = p.conjugate()
+    return [[(p[i] - j) + (conj[j] - i) - 1 for j in range(p[i])] for i in range(len(p))]
 
 
 def syt_count(p: Partition) -> int:
@@ -312,7 +306,8 @@ def _strips(mask: int, length: int) -> Iterator[tuple[int, int]]:
         yield mask ^ (low | low << length), (mask & (between * low << 1)).bit_count()
 
 
-@lru_cache(maxsize=None)
+# bounded, so that a long-lived process calling remove_rimhooks stays small
+@lru_cache(maxsize=1 << 12)
 def _strip_removals(parts: tuple[int, ...], length: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """All (remainder parts, height) for removable border strips of ``length``,
     read off ``_strips`` and ordered by the moved bead, highest first."""
@@ -337,8 +332,8 @@ def remove_rimhooks(p: Partition, length: int) -> list[RimhookRemoval]:
     if length < 1:
         raise ValueError("length must be positive")
     return [
-        RimhookRemoval(Partition(rem), h, length)
-        for rem, h in _strip_removals(p.parts, length)
+        RimhookRemoval(Partition._from_valid(rem), h, length)
+        for rem, h in _strip_removals(p, length)
     ]
 
 
@@ -352,7 +347,7 @@ def is_t_core(p: Partition, t: int) -> bool:
     """
     if t < 1:
         raise ValueError("t must be positive")
-    mask = _beta_mask(p.parts)
+    mask = _beta_mask(p)
     return not (mask >> t) & ~mask
 
 
@@ -370,15 +365,18 @@ def _dominates_parts(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return True
 
 
-def dominates(a: MultiPartition, b: MultiPartition) -> bool:
-    """Componentwise dominance: every a_i dominates b_i (zero-padded partial sums)."""
+def _check_pair(a: MultiPartition, b: MultiPartition) -> None:
+    """Raises ValueError unless a and b have the same component count and total."""
     if a.k != b.k:
         raise ValueError(f"component counts differ: {a.k} vs {b.k}")
     if a.total != b.total:
         raise ValueError(f"totals differ: {a.total} vs {b.total}")
-    return all(
-        _dominates_parts(x.parts, y.parts) for x, y in zip(a.components, b.components)
-    )
+
+
+def dominates(a: MultiPartition, b: MultiPartition) -> bool:
+    """Componentwise dominance: every a_i dominates b_i (zero-padded partial sums)."""
+    _check_pair(a, b)
+    return all(map(_dominates_parts, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +493,8 @@ def rank_multipartition(mp: MultiPartition) -> int:
     tables = _completion_tables(n, k)
     r = 0
     m = n
-    for (rows, diagonal, cum), comp in zip(reversed(tables), mp.components):
-        for s in comp.parts:
+    for (rows, diagonal, cum), comp in zip(reversed(tables), mp):
+        for s in comp:
             r += rows[m][s - 1] if 2 * s <= m + 2 else diagonal[m] - cum[m - s + 1]
             m -= s
     return tables[-1][1][n] - 1 - r

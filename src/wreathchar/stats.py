@@ -233,7 +233,7 @@ def _draw_pair(n: int, k: int, seed: int, index: int):
 def _divisible(group: GroupData, p: int, lam: MultiPartition, mu: MultiPartition) -> bool:
     # chi^lam is constant mod p on a mashing class, so the cell is decided at
     # the canonical label, the one with the fewest parts to peel
-    canonical = MultiPartition._from_valid(_mash_component(parts, p) for parts in mu.as_tuples())
+    canonical = MultiPartition._from_valid([_mash_component(parts, p) for parts in mu])
     return mn_character(group, lam, canonical) % p == 0
 
 

@@ -44,7 +44,7 @@ def psi_value(mu: MultiPartition) -> int:
     """The sign-product character on the class mu of B_N."""
     if mu.k != 2:
         raise ValueError("type D needs 2-multipartition labels")
-    return -1 if len(mu.components[1].parts) % 2 else 1
+    return -1 if len(mu[1]) % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def _draw_dn_cell(n: int, seed: int, index: int):
     stream = CounterStream(seed, index)
     while True:  # ordered pair, diagonal rejected: uniform on unordered pairs
         lam = random_multipartition(n, 2, stream)
-        if lam.components[0] != lam.components[1]:
+        if lam[0] != lam[1]:
             break
     while True:  # uniform over B_N classes inside D_N
         mu = random_multipartition(n, 2, stream)
@@ -135,12 +135,17 @@ def dn_restricted_census(
     one column per mod-p canonical label weighted by the D_N columns that
     mash to it.  sampled: uniform cells, rows by rejection on ordered pairs
     (reject the diagonal), columns by rejection on psi = 1, each cell
-    decided at its canonical label; needs samples and seed.  At p = 2 a
-    canonical label can fall outside D_N; its B_N values are still
-    congruent to those of the D_N column, which is all the census reads.
+    decided at its canonical label; needs samples and seed, which exact mode
+    refuses.  At p = 2 a canonical label can fall outside D_N; its B_N values
+    are still congruent to those of the D_N column, which is all the census
+    reads.
     """
     require_prime(p)
     _check_int("n", n)
+    if mode == "exact":
+        for name, value in (("samples", samples), ("seed", seed)):
+            if value is not None:
+                raise ValueError(f"{name} applies only to mode='sampled'")
     group = builtin("Z2")
     census = dn_irrep_census(n)
     columns = _dn_column_count(n)

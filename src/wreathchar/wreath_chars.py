@@ -103,9 +103,9 @@ def class_size(group: GroupData, mu: MultiPartition) -> int:
         raise ValueError(f"class label needs k={group.k} components")
     n = mu.total
     denom = 1
-    for i, comp in enumerate(mu.components):
+    for i, comp in enumerate(mu):
         z = group.centralizer_orders[i]
-        for length, m in Counter(comp.parts).items():
+        for length, m in Counter(comp).items():
             denom *= (length * z) ** m * factorial(m)
     num = group.order**n * factorial(n)
     if num % denom:
@@ -158,7 +158,7 @@ def mn_character(group: GroupData, lam: MultiPartition, mu: MultiPartition) -> i
     Values are memoized per (group table, lambda, mu) in a bounded LRU memo.
     """
     _check_query(group, lam, mu)
-    return _mn_value(group.table, lam.as_tuples(), mu.as_tuples())
+    return _mn_value(group.table, lam, mu)
 
 
 # The column kernel's state for the latest (n, table): one _Level per level
@@ -387,10 +387,10 @@ def perm_character(group: GroupData, lam: MultiPartition, mu: MultiPartition) ->
     _check_query(group, lam, mu)
     table = group.table
     rows = sorted(
-        ((q, length) for q, comp in enumerate(lam.as_tuples()) for length in comp),
+        ((q, length) for q, comp in enumerate(lam) for length in comp),
         key=lambda r: -r[1],
     )
-    keys = sorted(Counter((j, length) for j, comp in enumerate(mu.as_tuples()) for length in comp).items())
+    keys = sorted(Counter((j, length) for j, comp in enumerate(mu) for length in comp).items())
     kinds = [jl for jl, _ in keys]
     start = tuple(c for _, c in keys)
     memo: dict = {}
@@ -474,7 +474,7 @@ def kostka(beta: Partition, gamma: Partition) -> int:
     """
     if beta.size != gamma.size:
         raise ValueError(f"sizes differ: {beta.size} vs {gamma.size}")
-    return _kostka_rec(gamma.parts, beta.parts, {})
+    return _kostka_rec(gamma, beta, {})
 
 
 def perm_multiplicity(lam: MultiPartition, eta: MultiPartition) -> int:
@@ -482,7 +482,7 @@ def perm_multiplicity(lam: MultiPartition, eta: MultiPartition) -> int:
     if lam.k != eta.k:
         raise ValueError(f"component counts differ: {lam.k} vs {eta.k}")
     out = 1
-    for lp, ep in zip(lam.components, eta.components):
+    for lp, ep in zip(lam, eta):
         if lp.size != ep.size:
             return 0
         out *= kostka(lp, ep)
@@ -501,7 +501,7 @@ def dimension(group: GroupData, lam: MultiPartition) -> int:
         raise ValueError(f"label needs k={group.k} components")
     degrees = group.degrees()
     out = factorial(lam.total)
-    for i, comp in enumerate(lam.components):
+    for i, comp in enumerate(lam):
         out //= factorial(comp.size)
         out *= syt_count(comp)
         out *= degrees[i] ** comp.size
@@ -526,8 +526,8 @@ class CharTable:
         return {
             "group": self.group.name,
             "n": self.n,
-            "row_labels": [[list(p.parts) for p in lab.components] for lab in self.row_labels],
-            "col_labels": [[list(p.parts) for p in lab.components] for lab in self.col_labels],
+            "row_labels": [list(map(list, lab)) for lab in self.row_labels],
+            "col_labels": [list(map(list, lab)) for lab in self.col_labels],
             "class_sizes": [str(s) for s in self.class_sizes],
             "values": [[str(v) for v in row] for row in self.values],
         }
@@ -550,7 +550,7 @@ class CharTable:
 
 
 def _csv_label(lab: MultiPartition) -> str:
-    text = json.dumps([list(p.parts) for p in lab.components], separators=(",", ":"))
+    text = json.dumps(lab, separators=(",", ":"))
     return f'"{text}"' if "," in text else text
 
 
@@ -579,7 +579,7 @@ def character_table(
     # the rows are assembled only after the step tables are gone, so the
     # peak memory holds one or the other
     columns = list(_columns(group, n, labels, workers))
-    mps = tuple(MultiPartition.from_tuples(t) for t in labels)
+    mps = tuple(map(MultiPartition._from_valid, labels))
     values = tuple(zip(*columns))
     sizes = tuple(class_size(group, mu) for mu in mps)
     return CharTable(

@@ -3,8 +3,9 @@
 The column path keeps one ``_Level`` per level (index, orbits and peel
 steps) in ``_step_tables`` only while its columns run, and for the latest
 (n, table) only; ``multipartitions_of`` holds the latest (n, k),
-``kostka`` keeps its memo for one call, and nothing on the engine's paths
-fills the ``_strip_removals`` cache of ``remove_rimhooks``.
+``kostka`` keeps its memo for one call, nothing on the engine's paths
+fills the ``_strip_removals`` cache of ``remove_rimhooks``, and that cache
+has a fixed bound.
 """
 
 from wreathchar.base_group import builtin
@@ -13,6 +14,7 @@ from wreathchar.partitions import (
     _strip_removals,
     enumerate_partitions,
     multipartitions_of,
+    remove_rimhooks,
 )
 from wreathchar.stats import exact_census
 from wreathchar.weyl_d import dn_restricted_census
@@ -63,3 +65,14 @@ def test_orbits_of_the_latest_table_only():
         assert all(isinstance(level, _Level) for level in levels.values())
     assert len(list(_columns(g, n, labels[:5]))) == 5
     assert _step_tables.cache_info().currsize == 0
+
+
+def test_rimhook_removals_stay_within_the_cache_bound():
+    for n in range(26):
+        for p in enumerate_partitions(n):
+            for length in range(1, n + 1):
+                remove_rimhooks(p, length)
+    info = _strip_removals.cache_info()
+    assert info.maxsize is not None
+    assert info.misses > info.maxsize  # the bound was reached, not just respected
+    assert info.currsize <= info.maxsize

@@ -236,6 +236,12 @@ class TestCensuses:
         assert out == ""
         assert err == f"error: {flag} applies only to --mode sampled\n"
 
+    def test_dn_exact_names_the_flag_not_the_argument(self, capsys):
+        # the CLI's own message comes first, before the census's named error
+        code, out, err = run(capsys, "dn-census", "--n", "4", "--p", "2", "--samples", "5", "--seed", "1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: --seed applies only to --mode sampled\n"
+
     @pytest.mark.parametrize("seed", [str(-1), str(2**64), str(2**64 + 1)])
     @pytest.mark.parametrize("argv", SAMPLED_ARGV)
     def test_seed_out_of_range_exits_2(self, capsys, argv, seed):

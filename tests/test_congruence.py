@@ -34,6 +34,10 @@ class TestPrimality:
     def test_is_prime(self):
         assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
+    @pytest.mark.parametrize("p", [7.5, 3.0, True, "7"])
+    def test_is_prime_needs_an_int(self, p):
+        assert not is_prime(p)
+
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             mash_canonical(MultiPartition([[2, 2]]), 4)

@@ -1,7 +1,11 @@
+import copy
+import pickle
 import random
 
 import pytest
 
+from wreathchar.base_group import builtin
+from wreathchar.congruence import mash_canonical
 from wreathchar.partitions import (
     MultiPartition,
     Partition,
@@ -21,8 +25,15 @@ from wreathchar.partitions import (
     _count_array,
     _partition_tuples,
 )
+from wreathchar.wreath_chars import character_table
 
 import oracles
+
+
+def _assert_label(mp):
+    # a label equals its plain part tuples, so only its type tells them apart
+    assert type(mp) is MultiPartition, mp
+    assert all(type(c) is Partition for c in mp), mp
 
 
 class TestTypes:
@@ -51,6 +62,45 @@ class TestTypes:
     def test_conjugate(self):
         assert Partition((4, 2, 1)).conjugate().parts == (3, 2, 1, 1)
         assert Partition(()).conjugate().parts == ()
+
+
+class TestLabelsAreTuples:
+    def test_label_equals_its_part_tuples(self):
+        mp = MultiPartition([[3, 1], [], [2]])
+        plain = ((3, 1), (), (2,))
+        assert mp == plain and plain == mp
+        assert hash(mp) == hash(plain)
+        assert mp[0] == (3, 1) and hash(mp[0]) == hash((3, 1))
+        assert len(mp) == mp.k == 3
+        assert mp.components is mp and mp[0].parts is mp[0]
+        assert {plain: "found"}[mp] == "found"
+
+    @pytest.mark.parametrize(
+        "round_trip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_round_trip_keeps_the_types(self, round_trip):
+        mp = MultiPartition([[3, 1], [], [2]])
+        back = round_trip(mp)
+        assert back == mp
+        _assert_label(back)
+        part = round_trip(Partition((4, 2, 2)))
+        assert part == (4, 2, 2) and type(part) is Partition
+
+    def test_every_producer_builds_labels(self):
+        for p in enumerate_partitions(6):
+            assert type(p) is Partition
+            assert type(p.conjugate()) is Partition
+        assert type(Partition(()).conjugate()) is Partition
+        for mp in enumerate_multipartitions(4, 3):
+            _assert_label(mp)
+        for i in range(count_multipartitions(6, 2)):
+            _assert_label(unrank_multipartition(6, 2, i))
+            _assert_label(mash_canonical(unrank_multipartition(6, 2, i), 2).canonical)
+        table = character_table(builtin("S3"), 3)
+        for mp in table.row_labels + table.col_labels:
+            _assert_label(mp)
+        removals = remove_rimhooks(Partition((4, 3, 1)), 3) + remove_rimhooks(Partition((3,)), 3)
+        assert removals and all(type(r.remainder) is Partition for r in removals)
 
 
 class TestEnumeration:

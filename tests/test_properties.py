@@ -14,6 +14,7 @@ from wreathchar.cli import _parse_label
 from wreathchar.congruence import mash_canonical, sim_p_equivalent
 from wreathchar.partitions import (
     MultiPartition,
+    Partition,
     _beta_mask,
     _strip_removals,
     count_multipartitions,
@@ -199,6 +200,7 @@ PRIMES = st.sampled_from([2, 3, 5, 7])
 
 def _same_as_validated(mp):
     checked = MultiPartition.from_tuples(mp.as_tuples())
+    assert type(mp) is MultiPartition and all(type(c) is Partition for c in mp)
     assert mp == checked
     assert mp.total == checked.total
     assert [c.size for c in mp.components] == [c.size for c in checked.components]

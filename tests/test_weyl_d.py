@@ -4,7 +4,7 @@ import pytest
 
 from wreathchar.base_group import builtin
 from wreathchar.partitions import MultiPartition, count_partitions, multipartitions_of
-from wreathchar import wreath_chars
+from wreathchar import weyl_d, wreath_chars
 from wreathchar.weyl_d import (
     _dn_column_count,
     bn_class_in_dn,
@@ -192,6 +192,16 @@ class TestRestrictedCensus:
         with pytest.raises(RuntimeError, match="column failed"):
             dn_restricted_census(10, 3, mode="exact")
         assert _step_tables.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("name", ["samples", "seed"])
+    def test_exact_rejects_sampling_arguments(self, monkeypatch, name):
+        # refused by name before anything is counted, not silently ignored
+        def no_count(n):
+            raise AssertionError("counted before the arguments were checked")
+
+        monkeypatch.setattr(weyl_d, "dn_irrep_census", no_count)
+        with pytest.raises(ValueError, match=rf"^{name} applies only to mode='sampled'$"):
+            dn_restricted_census(6, 2, mode="exact", **{name: 5})
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
