@@ -19,6 +19,8 @@ from wreathchar.partitions import (
     _strip_removals,
     count_multipartitions,
     count_partitions,
+    enumerate_multipartitions,
+    enumerate_partitions,
     rank_multipartition,
     unrank_multipartition,
 )
@@ -199,7 +201,8 @@ PRIMES = st.sampled_from([2, 3, 5, 7])
 
 
 def _same_as_validated(mp):
-    checked = MultiPartition.from_tuples(mp.as_tuples())
+    # rebuilt from plain part tuples, so that every component is checked again
+    checked = MultiPartition([tuple(c) for c in mp])
     assert type(mp) is MultiPartition and all(type(c) is Partition for c in mp)
     assert mp == checked
     assert mp.total == checked.total
@@ -213,6 +216,15 @@ def test_unchecked_labels_equal_validated_ones(nki, p):
     drawn = unrank_multipartition(n, k, i)
     _same_as_validated(drawn)
     _same_as_validated(mash_canonical(drawn, p).canonical)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_enumerated_labels_equal_validated_ones(n):
+    for part in enumerate_partitions(n):
+        assert type(part) is Partition and part == Partition(tuple(part))
+    for k in (1, 2, 3):
+        for mp in enumerate_multipartitions(n, k):
+            _same_as_validated(mp)
 
 
 @SETTINGS
