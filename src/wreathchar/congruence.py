@@ -73,10 +73,15 @@ def _mash_component(parts: tuple[int, ...], p: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _canonical(mu: MultiPartition, p: int) -> MultiPartition:
+    """The merge-maximal label of mu mod p, for a prime p already checked."""
+    return MultiPartition._from_valid([_mash_component(parts, p) for parts in mu])
+
+
 def mash_canonical(mu: MultiPartition, p: int) -> MashedClass:
     """Merge-maximal representative of mu's equivalence class mod p."""
     require_prime(p)
-    canonical = MultiPartition._from_valid([_mash_component(parts, p) for parts in mu])
+    canonical = _canonical(mu, p)
     largest = max((comp[0] for comp in canonical if comp), default=0)
     return MashedClass(original=mu, prime=p, canonical=canonical, largest_part=largest)
 

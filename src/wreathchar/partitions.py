@@ -29,7 +29,7 @@ from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import accumulate, chain
 from math import factorial
-from operator import sub
+from operator import add, sub
 from typing import Iterator, NamedTuple
 
 
@@ -39,7 +39,8 @@ def _is_int(value) -> bool:
 
 
 def _check_int(name: str, value) -> None:
-    if not _is_int(value):
+    # the exact type first: it settles nearly every call on the draw path
+    if type(value) is not int and not _is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -176,6 +177,7 @@ def _multipartition_tuples(n: int, k: int) -> Iterator[tuple[tuple[int, ...], ..
 
 def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n, descending lex order; length equals count_partitions(n)."""
+    _check_int("n", n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     return [Partition._from_valid(t) for t in _partition_tuples(n)]
@@ -183,6 +185,8 @@ def enumerate_partitions(n: int) -> list[Partition]:
 
 def enumerate_multipartitions(n: int, k: int) -> Iterator[MultiPartition]:
     """All k-multipartitions of n in the canonical descending-lex order."""
+    _check_int("n", n)
+    _check_int("k", k)
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
     return (MultiPartition._from_valid(t) for t in _multipartition_tuples(n, k))
@@ -329,6 +333,7 @@ def _strip_removals(parts: tuple[int, ...], length: int) -> tuple[tuple[tuple[in
 def remove_rimhooks(p: Partition, length: int) -> list[RimhookRemoval]:
     """All distinct rimhooks of exactly ``length`` boxes whose removal leaves a
     valid partition; empty list when none exist."""
+    _check_int("length", length)
     if length < 1:
         raise ValueError("length must be positive")
     return [
@@ -345,6 +350,7 @@ def is_t_core(p: Partition, t: int) -> bool:
     no bead has a free position t below it.  The tests tie this to the
     hook_lengths definition exhaustively.
     """
+    _check_int("t", t)
     if t < 1:
         raise ValueError("t must be positive")
     mask = _beta_mask(p)
@@ -386,19 +392,28 @@ def dominates(a: MultiPartition, b: MultiPartition) -> bool:
 # state "m boxes left, current component may still take parts <= b, t more
 # components follow".  Base column T_t[m][0] = p_t(m) (component closed);
 # recurrence T_t[m][b] = T_t[m][b-1] + T_t[m-b][min(b, m-b)] splits on whether
-# the next part equals b.  For b > m/2 the term is the diagonal T_t[j][j] with
-# j = m - b, and the diagonal is p_{t+1}(j): with the current component
-# unrestricted, the t + 1 components left make a (t+1)-multipartition of j.
-# Summing those terms down from T_t[m][m] = p_{t+1}(m) gives the closed form
+# the next part equals b.  Row m has three regions:
 #
-#     T_t[m][b] = p_{t+1}(m) - cum[m - b]   for m // 2 <= b <= m,
+#   * top, m // 2 <= b <= m.  The term is the diagonal T_t[j][j] with
+#     j = m - b, and the diagonal is p_{t+1}(j): with the current component
+#     unrestricted, the t + 1 components left make a (t+1)-multipartition of
+#     j.  Summing those terms down from T_t[m][m] = p_{t+1}(m) gives
+#         T_t[m][b] = p_{t+1}(m) - cum[m - b],
+#     with cum[j] = p_{t+1}(0) + ... + p_{t+1}(j - 1).
+#   * middle, m // 3 <= b <= m // 2.  For b > m // 3 the term T_t[m-b][b]
+#     lies in the top region of row m - b, p_{t+1}(m-b) - cum[m-2b], and
+#     summing those terms down from b = m // 2 gives
+#         T_t[m][b] = p_{t+1}(m) - cum[m - b] + skip[m - 2b],
+#     with skip[i] = cum[i-2] + cum[i-4] + ... the stride-2 prefix sums of
+#     cum.  skip[0] = skip[1] = 0, so the two forms agree at b = m // 2.
+#   * stored, 0 <= b <= m // 3: row m keeps these m // 3 + 1 entries, a
+#     third of the bigints of full rows.
 #
-# with cum[j] = p_{t+1}(0) + ... + p_{t+1}(j - 1).  So a table is the triple
-# (rows, p_{t+1} array, cum), and row m stores only b <= m // 2, m // 2 + 1
-# entries: half the bigints of full rows.  Each row is one running sum over
-# the base entry and the terms T_t[m-b][b] for 1 <= b <= m // 2.  For
-# b <= m // 3 the term is stored in row m - b; for m // 3 < b <= m // 2 it
-# lies in the closed-form half of row m - b, p_{t+1}(m-b) - cum[m-2b].
+# So a table is its stored rows and three O(n) arrays, p_{t+1}, cum and
+# skip.  Each stored row is one running sum over the base entry and the
+# terms T_t[m-b][b] for 1 <= b <= m // 3.  For b <= m // 4 the term is stored
+# in row m - b; for m // 4 < b <= m // 3 it lies in the middle region of row
+# m - b, p_{t+1}(m-b) - cum[m-2b] + skip[m-3b].
 #
 # Rows are increasing in b, and the subtree below "next part s" holds the
 # ranks [T_t[m][s-1], T_t[m][s]) counted from its bottom (the block of "close
@@ -406,39 +421,57 @@ def dominates(a: MultiPartition, b: MultiPartition) -> bool:
 # r = p_k(n) - 1 - index, the rank from the bottom of the current subtree:
 # taking part s subtracts T_t[m][s-1], and closing a component keeps r, since
 # T_t[m][0] = p_t(m) is the corner T_{t-1}[m][m] of the next table.  The walk
-# has two branches.  When 2s <= m + 2, T_t[m][s-1] is stored: a repeat of s
+# has two branches.  When 3s <= m + 3, T_t[m][s-1] is stored: a repeat of s
 # is one comparison, and any other next part is a bisect of row[0:s-1].  (The
-# walk keeps low = 2s - 2, updated only when s changes, so telling the
+# walk keeps low = 3s - 3, updated only when s changes, so telling the
 # branches apart costs one comparison m < low per part.)  When part s lies
-# above the stored half (always so at the start of a component, where
-# s = m > 2), the row's last entry T_t[m][m//2] decides: if r is below it,
-# the next part is a bisect of the stored row; if not, the next part lies
-# above the stored half too, and it is m - j + 1 for the smallest j with
-# cum[j] >= p_{t+1}(m) - r, a bisect of cum.  That bisect needs no bound
-# from s, since r < T_t[m][min(s, m)] holds all along the walk.  The rank
-# is the same sum read back.  Only the tables of the latest (n, k) stay in memory: a
-# census uses one (n, k), and at n = 2000, k = 2 the tables take about
-# 120 MiB.
+# above the stored third (always so at the start of a component, where
+# s = m > 1), the row's last entry T_t[m][m//3] decides: if r is below it,
+# the next part is a bisect of the stored row.  If not, the next part s lies
+# in a closed-form region too, where r < T_t[m][s] reads
+# cum[m - s] - skip[m - 2s] < p_{t+1}(m) - r.  Above the middle region skip
+# drops out and s is a bisect of cum; inside it, s is a binary search on that
+# difference.  Neither search needs a bound from s, since r < T_t[m][min(s, m)]
+# holds all along the walk.  The rank is the same sum read back, entry by
+# entry through ``_entry``.  Only the tables of the latest (n, k) stay in
+# memory: a census uses one (n, k), and at n = 2000, k = 2 the tables take
+# about 74 MiB.
+
+
+class _Table(NamedTuple):
+    """Completion table t: the stored rows (row m holds T_t[m][b] for
+    b <= m // 3) and the arrays of the closed forms above them."""
+
+    rows: list[list[int]]
+    diagonal: list[int]  # p_{t+1}(0..n)
+    cum: list[int]  # cum[j] = p_{t+1}(0) + ... + p_{t+1}(j - 1)
+    skip: list[int]  # skip[i] = cum[i-2] + cum[i-4] + ..., skip[0] = skip[1] = 0
 
 
 @lru_cache(maxsize=1)
-def _completion_tables(n: int, k: int) -> list[tuple[list[list[int]], list[int], list[int]]]:
+def _completion_tables(n: int, k: int) -> list[_Table]:
     tables = []
     for t in range(k):
         base = _count_array(n, t)
         diagonal = _count_array(n, t + 1)
         cum = [0, *accumulate(diagonal[:n])]
+        skip = [0, 0]
+        for c in cum[: n - 1]:
+            skip.append(skip[-2] + c)
         rows: list[list[int]] = []
         for m in range(n + 1):
-            h, third = m // 2, m // 3
-            # at m = 0 the diagonal slice is empty and ends the map
+            third, quarter = m // 3, m // 4
+            # at m = 0, 1 and 4 a slice stop is negative and wraps; the
+            # diagonal slice is then empty and ends the map
             rows.append(list(accumulate(chain(
                 (base[m],),
-                map(list.__getitem__, reversed(rows[m - third:]), range(1, third + 1)),
-                map(sub, reversed(diagonal[m - h : m - third]),
-                    reversed(cum[m - 2 * h : m - 2 * third - 1 : 2])),
+                map(list.__getitem__, reversed(rows[m - quarter:]), range(1, quarter + 1)),
+                map(add,
+                    map(sub, reversed(diagonal[m - third : m - quarter]),
+                        reversed(cum[m - 2 * third : m - 2 * quarter - 1 : 2])),
+                    reversed(skip[m - 3 * third : m - 3 * quarter - 2 : 3])),
             ))))
-        tables.append((rows, diagonal, cum))
+        tables.append(_Table(rows, diagonal, cum, skip))
     return tables
 
 
@@ -450,41 +483,61 @@ def unrank_multipartition(n: int, k: int, index: int) -> MultiPartition:
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
     tables = _completion_tables(n, k)
-    total = tables[-1][1][n]  # p_k(n)
+    total = tables[-1].diagonal[n]  # p_k(n)
     if not 0 <= index < total:
         raise IndexError(f"index {index} out of range [0, {total})")
     r = total - 1 - index
     comps = []
     m = n
-    for rows, diagonal, cum in reversed(tables):
+    for rows, diagonal, cum, skip in reversed(tables):
         parts = []
         s = m
-        low = 2 * s - 2  # rows m < low store no entry for part s
+        low = 3 * s - 3  # rows m < low store no entry for part s
         while m:
             row = rows[m]
-            if m < low:  # part s lies above the stored half of row m
-                if r >= row[-1]:  # so does the next part: bisect cum instead
-                    j = bisect_left(cum, diagonal[m] - r, 1, m - m // 2)
-                    r -= diagonal[m] - cum[j]
-                    s = m - j + 1
-                    low = 2 * s - 2
+            if m < low:  # part s lies above the stored third of row m
+                if r >= row[-1]:  # so does the next part: search a closed form
+                    x = diagonal[m] - r
+                    h = m // 2
+                    if cum[m - h] >= x:  # above the middle region
+                        j = bisect_left(cum, x, 1, m - h)
+                        s = m - j + 1
+                        r = cum[j] - x
+                    else:  # inside it: m // 3 < s <= m // 2
+                        lo, s = m // 3 + 1, h
+                        while lo < s:
+                            mid = (lo + s) // 2
+                            if cum[m - mid] - skip[m - 2 * mid] < x:
+                                s = mid
+                            else:
+                                lo = mid + 1
+                        r = cum[m - s + 1] - skip[m - 2 * s + 2] - x
+                    low = 3 * s - 3
                     parts.append(s)
                     m -= s
                     continue
                 s = bisect_right(row, r)
                 if not s:
                     break
-                low = 2 * s - 2
+                low = 3 * s - 3
             elif r < row[s - 1]:  # the next part is not a repeat of s
                 s = bisect_right(row, r, 0, s - 1)
                 if not s:
                     break
-                low = 2 * s - 2
+                low = 3 * s - 3
             r -= row[s - 1]
             parts.append(s)
             m -= s
         comps.append(tuple(parts))
     return MultiPartition._from_valid(comps)
+
+
+def _entry(table: _Table, m: int, b: int) -> int:
+    """T_t[m][b]: stored for b <= m // 3, else the closed form."""
+    row = table.rows[m]
+    if b < len(row):
+        return row[b]
+    return table.diagonal[m] - table.cum[m - b] + table.skip[max(m - 2 * b, 0)]
 
 
 def rank_multipartition(mp: MultiPartition) -> int:
@@ -493,8 +546,8 @@ def rank_multipartition(mp: MultiPartition) -> int:
     tables = _completion_tables(n, k)
     r = 0
     m = n
-    for (rows, diagonal, cum), comp in zip(reversed(tables), mp):
+    for table, comp in zip(reversed(tables), mp):
         for s in comp:
-            r += rows[m][s - 1] if 2 * s <= m + 2 else diagonal[m] - cum[m - s + 1]
+            r += _entry(table, m, s - 1)
             m -= s
-    return tables[-1][1][n] - 1 - r
+    return tables[-1].diagonal[n] - 1 - r

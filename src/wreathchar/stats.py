@@ -29,7 +29,7 @@ from statistics import NormalDist
 from typing import Optional
 
 from .base_group import GroupData
-from .congruence import _mash_component, mash_canonical, require_prime, zero_certificate
+from .congruence import _canonical, mash_canonical, require_prime, zero_certificate
 from .partitions import (
     MultiPartition,
     _check_int,
@@ -233,8 +233,7 @@ def _draw_pair(n: int, k: int, seed: int, index: int):
 def _divisible(group: GroupData, p: int, lam: MultiPartition, mu: MultiPartition) -> bool:
     # chi^lam is constant mod p on a mashing class, so the cell is decided at
     # the canonical label, the one with the fewest parts to peel
-    canonical = MultiPartition._from_valid([_mash_component(parts, p) for parts in mu])
-    return mn_character(group, lam, canonical) % p == 0
+    return mn_character(group, lam, _canonical(mu, p)) % p == 0
 
 
 def _certified(p: int, lam: MultiPartition, mu: MultiPartition) -> bool:

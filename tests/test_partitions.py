@@ -1,6 +1,9 @@
 import copy
 import pickle
 import random
+import re
+import tracemalloc
+from enum import IntEnum
 
 import pytest
 
@@ -21,6 +24,7 @@ from wreathchar.partitions import (
     remove_rimhooks,
     syt_count,
     unrank_multipartition,
+    _check_int,
     _completion_tables,
     _count_array,
     _partition_tuples,
@@ -215,6 +219,42 @@ class TestCounting:
             count_partitions(n)
 
 
+class _Size(IntEnum):
+    FOUR = 4
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("value", [0, -3, 10**30, _Size.FOUR])
+    def test_check_accepts_ints_and_int_subclasses(self, value):
+        _check_int("n", value)
+
+    @pytest.mark.parametrize("value", [True, False, 4.0, "4"])
+    def test_check_refuses_bool_float_and_str(self, value):
+        with pytest.raises(ValueError, match=rf"^n must be an integer, got {re.escape(repr(value))}$"):
+            _check_int("n", value)
+
+    CALLS = {
+        "enumerate_partitions n": (enumerate_partitions, "n"),
+        "enumerate_multipartitions n": (lambda v: enumerate_multipartitions(v, 2), "n"),
+        "enumerate_multipartitions k": (lambda v: enumerate_multipartitions(2, v), "k"),
+        "remove_rimhooks length": (lambda v: remove_rimhooks(Partition((2, 1)), v), "length"),
+        "is_t_core t": (lambda v: is_t_core(Partition((2, 1)), v), "t"),
+    }
+
+    @pytest.mark.parametrize("value", [True, 2.0, 1.5])
+    @pytest.mark.parametrize("case", CALLS)
+    def test_rejects_non_integer_argument(self, case, value):
+        call, name = self.CALLS[case]
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            call(value)
+
+    def test_int_subclass_is_its_value(self):
+        assert enumerate_partitions(_Size.FOUR) == enumerate_partitions(4)
+        assert list(enumerate_multipartitions(2, _Size.FOUR)) == list(enumerate_multipartitions(2, 4))
+        assert remove_rimhooks(Partition((4, 2)), _Size.FOUR) == remove_rimhooks(Partition((4, 2)), 4)
+        assert is_t_core(Partition((2, 1)), _Size.FOUR) is is_t_core(Partition((2, 1)), 4)
+
+
 class TestHooks:
     def test_hook_table_4_2_1(self):
         assert hook_lengths(Partition((4, 2, 1))) == [[6, 4, 2, 1], [3, 1], [1]]
@@ -359,17 +399,20 @@ class TestDominance:
 
 
 def _full_rows(table, n):
-    """The full rows T_t[m][0..m] of one half-stored completion table: the
-    stored entries for b <= m // 2, the closed form p_{t+1}(m) - cum[m - b]
-    for b >= m // 2 (both at b = m // 2, where they must agree)."""
-    rows, diagonal, cum = table
+    """The full rows T_t[m][0..m] of one completion table: the stored
+    entries for b <= m // 3, the middle form p_{t+1}(m) - cum[m - b] +
+    skip[m - 2b] for m // 3 <= b <= m // 2 and the top form
+    p_{t+1}(m) - cum[m - b] for b >= m // 2.  Where two regions meet, at
+    b = m // 3 and at b = m // 2, both must give the same entry."""
+    rows, diagonal, cum, skip = table
     full = []
     for m in range(n + 1):
-        row, h = rows[m], m // 2
-        assert len(row) == h + 1, (m, len(row))
-        closed = [diagonal[m] - cum[m - b] for b in range(h, m + 1)]
-        assert closed[0] == row[h], m
-        full.append(row[:h] + closed)
+        row, third, h = rows[m], m // 3, m // 2
+        middle = [diagonal[m] - cum[m - b] + skip[m - 2 * b] for b in range(third, h + 1)]
+        top = [diagonal[m] - cum[m - b] for b in range(h, m + 1)]
+        assert middle[0] == row[third], m
+        assert middle[-1] == top[0], m
+        full.append(row[:third] + middle[:-1] + top)
     return full
 
 
@@ -453,8 +496,8 @@ class TestUnranking:
                     assert full[n][n] == oracle[t][n][n] == count_multipartitions(n, t + 1)
 
     def test_tables_match_oracle(self):
-        # every entry T_t[m][b], 0 <= b <= m, stored (b <= m // 2) or read
-        # from the closed form (b >= m // 2), against the entry-at-a-time
+        # every entry T_t[m][b], 0 <= b <= m, stored (b <= m // 3) or read
+        # from a closed form (b >= m // 3), against the entry-at-a-time
         # double loop
         for k in (1, 2, 3):
             for n in range(61):
@@ -477,8 +520,9 @@ class TestUnranking:
 
     def test_unrank_matches_oracle_exhaustive(self):
         # every rank for n <= 14, k <= 3: covers the stored branch and both
-        # closed-form branches of the walk (a next part in the stored half
-        # and one above it), and rank reads the same entries back
+        # closed-form searches of the walk (a next part in the middle region,
+        # which spans up to three parts at m = 14, and one above it), and
+        # rank reads the same entries back
         for k in (1, 2, 3):
             for n in range(15):
                 tables = oracles.completion_tables(n, k)
@@ -497,6 +541,25 @@ class TestUnranking:
         assert multipartitions_of(5, 2) == tuple(
             m.as_tuples() for m in enumerate_multipartitions(5, 2)
         )
+
+    def test_rows_store_a_third(self):
+        # row m keeps T_t[m][0..m // 3]; the closed forms give the rest
+        for k in (1, 2, 3):
+            for table in _completion_tables(300, k):
+                assert [len(row) for row in table.rows] == [m // 3 + 1 for m in range(301)]
+
+    def test_tables_at_600_stay_under_6_5_mib(self):
+        # 5.7 MiB by tracemalloc at n = 600, k = 2; rows stored up to
+        # b = m // 2 took 8.4
+        _count_array(600, 2)  # the count arrays are cached apart from the tables
+        _completion_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            _completion_tables(600, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * 2**20, peak / 2**20
 
     def test_only_latest_tables_stay(self):
         first = unrank_multipartition(7, 2, 11)
