@@ -12,7 +12,7 @@ attempted; validation covers integrality and orthogonality.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class GroupValidationError(ValueError):
@@ -23,8 +23,7 @@ class GroupValidationError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
-@dataclass(frozen=True)
-class GroupData:
+class GroupData(NamedTuple):
     """Class data of a finite group G with integer character table.
 
     table[r][j] is the value of the r-th irreducible character on the j-th
@@ -53,9 +52,14 @@ class GroupData:
         return tuple(row[self.identity_class] for row in self.table)
 
 
-@dataclass
 class ValidationReport:
-    problems: list[str] = field(default_factory=list)
+    """The problems ``validate`` found, in the order it found them."""
+
+    def __init__(self):
+        self.problems: list[str] = []
+
+    def __repr__(self):
+        return f"ValidationReport(problems={self.problems!r})"
 
     @property
     def ok(self) -> bool:

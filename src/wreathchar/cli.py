@@ -10,7 +10,6 @@ reproduce byte-identical output at any worker count.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -97,6 +96,9 @@ def _config_echo(args, **extra) -> dict:
 
 def _emit(args, payload: dict, csv_columns=None, csv_values=None):
     if args.format == "csv" and csv_columns is not None:
+        # only the one-row CSV reports load csv; the table CSV is written directly
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(csv_columns)
         writer.writerow(csv_values)

@@ -15,7 +15,7 @@ but deliberately not complete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .partitions import MultiPartition, _check_int, _check_pair, _is_int, is_t_core
 from .wreath_chars import _check_query
@@ -43,8 +43,7 @@ def require_prime(p: int):
         raise ValueError(f"p = {p} is not prime")
 
 
-@dataclass(frozen=True)
-class MashedClass:
+class MashedClass(NamedTuple):
     """A class label together with its merge-maximal mod-p canonical form."""
 
     original: MultiPartition

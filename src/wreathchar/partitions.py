@@ -540,8 +540,10 @@ def _entry(table: _Table, m: int, b: int) -> int:
     return table.diagonal[m] - table.cum[m - b] + table.skip[max(m - 2 * b, 0)]
 
 
-def rank_multipartition(mp: MultiPartition) -> int:
-    """Position of mp in the canonical enumeration; inverse of unrank."""
+def rank_multipartition(mp) -> int:
+    """Position of mp in the canonical enumeration; inverse of unrank.  Any
+    label goes in: mp is validated as ``MultiPartition(mp)``."""
+    mp = MultiPartition(mp)
     n, k = mp.total, mp.k
     tables = _completion_tables(n, k)
     r = 0

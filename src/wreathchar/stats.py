@@ -21,12 +21,11 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
 from statistics import NormalDist
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .base_group import GroupData
 from .congruence import _canonical, mash_canonical, require_prime, zero_certificate
@@ -137,8 +136,7 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     mode: str
     group: str
     n: int
@@ -329,7 +327,7 @@ def certificate_census(
         partial(_draw_pair, n, group_k), partial(_certified, p),
         samples, seed, workers,
     )
-    return replace(report, coverage=report.proportion)
+    return report._replace(coverage=report.proportion)
 
 
 # ---------------------------------------------------------------------------

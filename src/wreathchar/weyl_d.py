@@ -16,9 +16,9 @@ the sampled census's checks, hit count and report are in
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from .base_group import builtin
 from .congruence import _mash_component, require_prime
@@ -47,8 +47,7 @@ def psi_value(mu: MultiPartition) -> int:
     return -1 if len(mu[1]) % 2 else 1
 
 
-@dataclass(frozen=True)
-class DnIrrepCensus:
+class DnIrrepCensus(NamedTuple):
     nonsplit: int
     split_halves: int
 

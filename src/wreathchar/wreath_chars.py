@@ -32,11 +32,10 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from math import factorial
 from operator import itemgetter, mul
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .base_group import GroupData
 from .partitions import (
@@ -44,6 +43,7 @@ from .partitions import (
     Partition,
     _beta_mask,
     _check_int,
+    _check_pair,
     _is_int,
     _multipartition_tuples,
     _strips,
@@ -66,10 +66,9 @@ def _check_workers(workers: int):
 
 
 def _check_query(group: GroupData, lam: MultiPartition, mu: MultiPartition):
-    if lam.k != group.k or mu.k != group.k:
-        raise ValueError(f"multipartitions must have k={group.k} components")
-    if lam.total != mu.total:
-        raise ValueError(f"totals differ: |lambda|={lam.total}, |mu|={mu.total}")
+    if lam.k != group.k:
+        raise ValueError(f"lambda must have k={group.k} components, got {lam.k}")
+    _check_pair(lam, mu)
 
 
 def flatten_class(mu: Iterable[tuple[int, ...]]) -> tuple[tuple[int, int], ...]:
@@ -180,8 +179,7 @@ def _conjugate_mask(mask: int) -> int:
     return int(f"{mask:b}"[::-1].translate(_FLIP), 2) if mask else 0
 
 
-@dataclass
-class _Level:
+class _Level(NamedTuple):
     """The multipartitions of m under one table: their index, their orbits
     under the table's linear characters, and the peel steps built so far.
 
@@ -200,8 +198,8 @@ class _Level:
     reps: tuple  # the representative rows, ascending
     slot: tuple  # per row: the position of its representative in reps
     sym: tuple  # per row: the map s that takes its representative to it
-    getters: dict = field(default_factory=dict)  # the fill of each parity pattern
-    steps: dict = field(default_factory=dict)  # representative-only peel steps, per length
+    getters: dict  # the fill of each parity pattern
+    steps: dict  # representative-only peel steps, per length
 
     def fill(self, rep_values: list, odd: tuple) -> list[int]:
         """The values on every row from those on the representatives, at a
@@ -259,6 +257,8 @@ def _level(levels: dict, m: int, group: GroupData) -> _Level:
         reps=tuple(reps),
         slot=tuple(position[rep] for rep, _ in least),
         sym=tuple(s for _, s in least),
+        getters={},
+        steps={},
     )
     return level
 
@@ -508,8 +508,7 @@ def dimension(group: GroupData, lam: MultiPartition) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class CharTable:
+class CharTable(NamedTuple):
     """Full character table of G wr S_n with canonical row/column labelling."""
 
     group: GroupData

@@ -435,22 +435,36 @@ class TestHelp:
         assert done.stdout.strip() == f"wreathchar {wreathchar.__version__}"
 
 
-# a fresh interpreter that imports the CLI, runs argv (if any) with stdout
-# discarded and prints which pool modules it has loaded
+# a fresh interpreter that imports the CLI, runs argv (if any) and prints, as
+# JSON, which of the watched modules it has loaded and what argv wrote
 COLD_START = """
-import io, sys
+import io, json, sys
 from contextlib import redirect_stdout
 import wreathchar.cli as cli
 argv = {argv!r}
+out = io.StringIO()
 if argv:
-    with redirect_stdout(io.StringIO()):
+    with redirect_stdout(out):
         assert cli.main(argv) == 0
-print([name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules])
+watched = ("multiprocessing", "concurrent.futures", "dataclasses", "inspect", "csv")
+print(json.dumps([[name for name in watched if name in sys.modules], out.getvalue()]))
 """
 
 
+def _cold_start(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(wreathchar.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START.format(argv=argv)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
 class TestColdStart:
-    """A serial run never loads the process-pool machinery."""
+    """A serial run never loads the process-pool machinery or dataclasses
+    (nor inspect, which it pulls in), and only a one-row CSV report loads
+    csv."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -466,13 +480,14 @@ class TestColdStart:
         ids=lambda argv: argv[0] if argv else "import",
     )
     def test_no_pool_modules(self, argv):
-        env = dict(os.environ, PYTHONPATH=str(Path(wreathchar.__file__).resolve().parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-c", COLD_START.format(argv=argv)],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        loaded, _ = _cold_start(argv)
+        assert loaded == []
+
+    def test_census_csv_loads_csv_alone(self):
+        argv = ["census", "--group", "Z2", "--n", "4", "--p", "2", "--format", "csv", "--workers", "1"]
+        loaded, out = _cold_start(argv)
+        assert loaded == ["csv"]
+        assert out == (GOLDEN / "exact.csv").read_text(encoding="utf-8")
 
 
 class TestOutputErrors:

@@ -481,6 +481,23 @@ class TestUnranking:
         with pytest.raises(ValueError):
             unrank_multipartition(3, 0, 0)
 
+    @pytest.mark.parametrize("label", [((1,), ()), [[1], []], MultiPartition([[1], []])])
+    def test_rank_takes_any_label(self, label):
+        assert rank_multipartition(label) == rank_multipartition(MultiPartition([[1], []]))
+        assert unrank_multipartition(1, 2, rank_multipartition(label)) == ((1,), ())
+
+    @pytest.mark.parametrize(
+        "label, want",
+        [
+            (((1, 0), ()), "parts must be positive, got 0 at index 1"),
+            (((1.0,), ()), "parts must be integers, got 1.0 at index 0"),
+            (((True,), ()), "parts must be integers, got True at index 0"),
+        ],
+    )
+    def test_rank_rejects_bad_parts(self, label, want):
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            rank_multipartition(label)
+
     def test_tables_corner_is_count(self):
         # unranking reads p_k(n) off the completion tables instead of
         # recounting; every table's corners T_t[n][0] = p_t(n) and

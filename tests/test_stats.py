@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from wreathchar.base_group import builtin
-from wreathchar.partitions import count_multipartitions, count_partitions, unrank_multipartition
+from wreathchar.congruence import mash_canonical
+from wreathchar.partitions import MultiPartition, count_multipartitions, count_partitions, unrank_multipartition
 from wreathchar.stats import (
     CSV_COLUMNS,
     CounterStream,
@@ -20,7 +21,7 @@ from wreathchar.stats import (
     sampled_census,
     wilson_interval,
 )
-from wreathchar.weyl_d import dn_restricted_census
+from wreathchar.weyl_d import dn_irrep_census, dn_restricted_census
 from wreathchar.wreath_chars import character_table
 
 import oracles
@@ -409,3 +410,22 @@ class TestReportShape:
         assert r.divisible_count <= r.cells_evaluated
         assert 0 <= r.proportion <= 1
         assert r.ci_low <= float(r.proportion) <= r.ci_high
+
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: builtin("S3"), "table"),
+            (lambda: mash_canonical(MultiPartition([[2, 2], []]), 2), "canonical"),
+            (lambda: character_table(Z2, 2), "values"),
+            (lambda: exact_census(Z2, 2, 2), "divisible_count"),
+            (lambda: dn_irrep_census(4), "nonsplit"),
+        ],
+        ids=["GroupData", "MashedClass", "CharTable", "CensusReport", "DnIrrepCensus"],
+    )
+    def test_records_are_immutable(self, make, name):
+        # a record's fields cannot be reassigned and it takes no new attribute
+        record = make()
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            record.extra = 1
