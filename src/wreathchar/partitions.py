@@ -392,28 +392,27 @@ def dominates(a: MultiPartition, b: MultiPartition) -> bool:
 # state "m boxes left, current component may still take parts <= b, t more
 # components follow".  Base column T_t[m][0] = p_t(m) (component closed);
 # recurrence T_t[m][b] = T_t[m][b-1] + T_t[m-b][min(b, m-b)] splits on whether
-# the next part equals b.  Row m has three regions:
+# the next part equals b.  As a series, T_t[m][b] is the q^m coefficient of
+# P_{t+1}(q) * prod_{s > b} (1 - q^s), with P_{t+1} the generating function
+# of p_{t+1}, and Euler's distinct-parts identity expands the product:
 #
-#   * top, m // 2 <= b <= m.  The term is the diagonal T_t[j][j] with
-#     j = m - b, and the diagonal is p_{t+1}(j): with the current component
-#     unrestricted, the t + 1 components left make a (t+1)-multipartition of
-#     j.  Summing those terms down from T_t[m][m] = p_{t+1}(m) gives
-#         T_t[m][b] = p_{t+1}(m) - cum[m - b],
-#     with cum[j] = p_{t+1}(0) + ... + p_{t+1}(j - 1).
-#   * middle, m // 3 <= b <= m // 2.  For b > m // 3 the term T_t[m-b][b]
-#     lies in the top region of row m - b, p_{t+1}(m-b) - cum[m-2b], and
-#     summing those terms down from b = m // 2 gives
-#         T_t[m][b] = p_{t+1}(m) - cum[m - b] + skip[m - 2b],
-#     with skip[i] = cum[i-2] + cum[i-4] + ... the stride-2 prefix sums of
-#     cum.  skip[0] = skip[1] = 0, so the two forms agree at b = m // 2.
-#   * stored, 0 <= b <= m // 3: row m keeps these m // 3 + 1 entries, a
-#     third of the bigints of full rows.
+#     T_t[m][b] = sum_{r >= 0} (-1)^r A_r[m - r*b - r(r+1)/2],
 #
-# So a table is its stored rows and three O(n) arrays, p_{t+1}, cum and
-# skip.  Each stored row is one running sum over the base entry and the
-# terms T_t[m-b][b] for 1 <= b <= m // 3.  For b <= m // 4 the term is stored
-# in row m - b; for m // 4 < b <= m // 3 it lies in the middle region of row
-# m - b, p_{t+1}(m-b) - cum[m-2b] + skip[m-3b].
+# where a negative index gives 0, A_0 = p_{t+1} and A_r[x] = A_{r-1}[x] +
+# A_r[x - r] (A_r is P_{t+1} / ((1-q)...(1-q^r)); A_1 is the prefix sums of
+# p_{t+1}).  For b >= m // 8 the index of r = 8 is negative, as 8b + 36 > m,
+# so the sum has at most _TERMS = 8 terms, over A_0 .. A_7.  Row m stores
+# T_t[m][b] only for
+#
+#     b <= w(m) = max(m // _TERMS, min(m // 3, _NARROW)),
+#
+# an eighth of the row for large m; rows with m <= 50 keep their first
+# third, where the sum has at most three terms.  So a table is its stored
+# rows and eight O(n) arrays.  Each stored row is one running sum over the
+# base entry and the terms T_t[m-b][b] for 1 <= b <= w(m).  The term is
+# stored in row m - b while b <= max(m // 9, min(m // 4, _NARROW)); above
+# that it is the sum for row m - b, and the r-th summands of consecutive b
+# are a slice of A_r with stride r + 1.
 #
 # Rows are increasing in b, and the subtree below "next part s" holds the
 # ranks [T_t[m][s-1], T_t[m][s]) counted from its bottom (the block of "close
@@ -421,58 +420,89 @@ def dominates(a: MultiPartition, b: MultiPartition) -> bool:
 # r = p_k(n) - 1 - index, the rank from the bottom of the current subtree:
 # taking part s subtracts T_t[m][s-1], and closing a component keeps r, since
 # T_t[m][0] = p_t(m) is the corner T_{t-1}[m][m] of the next table.  The walk
-# has two branches.  When 3s <= m + 3, T_t[m][s-1] is stored: a repeat of s
-# is one comparison, and any other next part is a bisect of row[0:s-1].  (The
-# walk keeps low = 3s - 3, updated only when s changes, so telling the
-# branches apart costs one comparison m < low per part.)  When part s lies
-# above the stored third (always so at the start of a component, where
-# s = m > 1), the row's last entry T_t[m][m//3] decides: if r is below it,
-# the next part is a bisect of the stored row.  If not, the next part s lies
-# in a closed-form region too, where r < T_t[m][s] reads
-# cum[m - s] - skip[m - 2s] < p_{t+1}(m) - r.  Above the middle region skip
-# drops out and s is a bisect of cum; inside it, s is a binary search on that
-# difference.  Neither search needs a bound from s, since r < T_t[m][min(s, m)]
-# holds all along the walk.  The rank is the same sum read back, entry by
-# entry through ``_entry``.  Only the tables of the latest (n, k) stay in
-# memory: a census uses one (n, k), and at n = 2000, k = 2 the tables take
-# about 74 MiB.
+# has two branches.  When row m stores T_t[m][s-1], a repeat of s is one
+# comparison, and any other next part is a bisect of row[0:s-1].  (The walk
+# keeps low = first[s], the first row that stores entry s - 1, updated only
+# when s changes, so telling the branches apart costs one comparison m < low
+# per part.)  When part s lies above the stored entries (always so at the start
+# of a component, where s = m > 1), the row's last entry T_t[m][w(m)]
+# decides: if r is below it, the next part is a bisect of the stored row.
+# If not, the next part lies in (w(m), min(s, m)], since r < T_t[m][min(s, m)]
+# holds all along the walk, and r < T_t[m][s] reads _tail(sums, m, s) <
+# p_{t+1}(m) - r, with _tail the terms r >= 1 of the sum.  Its first term
+# A_1[m - s - 1] counts the multipartitions whose current component has a part
+# above s, each once per such part size, so it bounds _tail from above (the
+# Bonferroni inequality) and equals it from m // 2 on.  A bisect of A_1 finds
+# the first s where that term drops below p_{t+1}(m) - r: the next part if
+# 2s >= m, else a bound on it, checked by one _tail at s - 1; if that is
+# below too, the next part is a binary search on _tail in (w(m), s - 1].
+# The rank is the same sum read back, entry by entry through ``_entry``.
+# Only the tables of the latest (n, k) stay in memory: a census uses one
+# (n, k), and at n = 2000, k = 2 the tables take about 29 MiB by tracemalloc.
+
+_TERMS = 8  # the arrays A_0 .. A_7; row m stores b <= m // _TERMS at least
+_NARROW = 16  # ... and b <= min(m // 3, _NARROW)
 
 
 class _Table(NamedTuple):
     """Completion table t: the stored rows (row m holds T_t[m][b] for
-    b <= m // 3) and the arrays of the closed forms above them."""
+    b <= w(m)), the arrays sums[r] = A_r, r < _TERMS, of the sum
+    T_t[m][b] = sum_r (-1)^r A_r[m - r*b - r(r+1)/2] above them, and the
+    inverse of w for the walk (one list, shared by the tables of one n)."""
 
     rows: list[list[int]]
-    diagonal: list[int]  # p_{t+1}(0..n)
-    cum: list[int]  # cum[j] = p_{t+1}(0) + ... + p_{t+1}(j - 1)
-    skip: list[int]  # skip[i] = cum[i-2] + cum[i-4] + ..., skip[0] = skip[1] = 0
+    sums: list[list[int]]  # sums[0] = p_{t+1}(0..n), sums[1] its prefix sums
+    first: list[int]  # first[s] = min{m : w(m) >= s - 1}
 
 
 @lru_cache(maxsize=1)
 def _completion_tables(n: int, k: int) -> list[_Table]:
     tables = []
+    # w(m) >= s - 1 iff m >= 3(s - 1) while s - 1 <= _NARROW, else iff m >= 8(s - 1)
+    first = [(s - 1) * (3 if s <= _NARROW + 1 else _TERMS) for s in range(n + 1)]
     for t in range(k):
         base = _count_array(n, t)
-        diagonal = _count_array(n, t + 1)
-        cum = [0, *accumulate(diagonal[:n])]
-        skip = [0, 0]
-        for c in cum[: n - 1]:
-            skip.append(skip[-2] + c)
+        sums = [_count_array(n, t + 1)[: n + 1]]
+        for r in range(1, _TERMS):
+            a = [0] * (n + 1)
+            for c in range(r):  # A_r is the stride-r prefix sums of A_{r-1}
+                a[c::r] = accumulate(sums[-1][c::r])
+            sums.append(a)
         rows: list[list[int]] = []
         for m in range(n + 1):
-            third, quarter = m // 3, m // 4
-            # at m = 0, 1 and 4 a slice stop is negative and wraps; the
-            # diagonal slice is then empty and ends the map
+            width = max(m // _TERMS, min(m // 3, _NARROW))
+            inner = max(m // (_TERMS + 1), min(m // 4, _NARROW))
+            # the terms T_t[m-b][b] for b = width down to inner + 1, summed
+            # over r; A_r adds to those with b <= c, where its index is >= 0
+            terms = sums[0][m - width : m - inner]
+            for r in range(1, _TERMS):
+                shift = r * (r + 1) // 2
+                c = min(width, (m - shift) // (r + 1))
+                if c <= inner:
+                    break
+                terms[width - c :] = map(sub if r & 1 else add, terms[width - c :], sums[r][
+                    m - shift - (r + 1) * c : m - shift - (r + 1) * inner : r + 1])
             rows.append(list(accumulate(chain(
                 (base[m],),
-                map(list.__getitem__, reversed(rows[m - quarter:]), range(1, quarter + 1)),
-                map(add,
-                    map(sub, reversed(diagonal[m - third : m - quarter]),
-                        reversed(cum[m - 2 * third : m - 2 * quarter - 1 : 2])),
-                    reversed(skip[m - 3 * third : m - 3 * quarter - 2 : 3])),
+                map(list.__getitem__, reversed(rows[m - inner :]), range(1, inner + 1)),
+                reversed(terms),
             ))))
-        tables.append(_Table(rows, diagonal, cum, skip))
+        tables.append(_Table(rows, sums, first))
     return tables
+
+
+def _tail(sums: list[list[int]], m: int, b: int) -> int:
+    """p_{t+1}(m) - T_t[m][b] for b >= m // _TERMS: the terms r >= 1."""
+    total = 0
+    r, i = 1, m - b - 1
+    while i >= 0:  # the r-th index is negative from r = _TERMS on
+        if r & 1:
+            total += sums[r][i]
+        else:
+            total -= sums[r][i]
+        r += 1
+        i -= b + r
+    return total
 
 
 def unrank_multipartition(n: int, k: int, index: int) -> MultiPartition:
@@ -483,61 +513,68 @@ def unrank_multipartition(n: int, k: int, index: int) -> MultiPartition:
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
     tables = _completion_tables(n, k)
-    total = tables[-1].diagonal[n]  # p_k(n)
+    total = tables[-1].sums[0][n]  # p_k(n)
     if not 0 <= index < total:
         raise IndexError(f"index {index} out of range [0, {total})")
     r = total - 1 - index
     comps = []
     m = n
-    for rows, diagonal, cum, skip in reversed(tables):
+    for rows, sums, first in reversed(tables):
         parts = []
+        append = parts.append
         s = m
-        low = 3 * s - 3  # rows m < low store no entry for part s
+        low = first[s]  # rows m < low store no entry s - 1
         while m:
             row = rows[m]
-            if m < low:  # part s lies above the stored third of row m
-                if r >= row[-1]:  # so does the next part: search a closed form
-                    x = diagonal[m] - r
-                    h = m // 2
-                    if cum[m - h] >= x:  # above the middle region
-                        j = bisect_left(cum, x, 1, m - h)
-                        s = m - j + 1
-                        r = cum[j] - x
-                    else:  # inside it: m // 3 < s <= m // 2
-                        lo, s = m // 3 + 1, h
+            if m < low:  # part s lies above the stored entries of row m
+                if r >= row[-1]:  # so does the next part: search the sum
+                    x = sums[0][m] - r
+                    # cum[m - s - 1] >= _tail(sums, m, s), with equality
+                    # from m // 2 on: the first s with cum[m - s - 1] < x is
+                    # the next part there, and a bound on it below
+                    cum = sums[1]
+                    i = bisect_left(cum, x, m - s if s < m else 0, m - len(row))
+                    s, y = m - i, cum[i]
+                    if 2 * s < m and (y := _tail(sums, m, s - 1)) < x:
+                        # the next part is below s: bisect (w(m), s - 1],
+                        # keeping y = _tail(sums, m, lo - 1) >= x
+                        lo, s, y = len(row), s - 1, x + r - row[-1]
                         while lo < s:
                             mid = (lo + s) // 2
-                            if cum[m - mid] - skip[m - 2 * mid] < x:
+                            v = _tail(sums, m, mid)
+                            if v < x:
                                 s = mid
                             else:
-                                lo = mid + 1
-                        r = cum[m - s + 1] - skip[m - 2 * s + 2] - x
-                    low = 3 * s - 3
-                    parts.append(s)
+                                lo, y = mid + 1, v
+                    r = y - x
+                    low = first[s]
+                    append(s)
                     m -= s
                     continue
                 s = bisect_right(row, r)
-                if not s:
-                    break
-                low = 3 * s - 3
-            elif r < row[s - 1]:  # the next part is not a repeat of s
+            elif r >= row[s - 1]:  # a repeat of s
+                r -= row[s - 1]
+                append(s)
+                m -= s
+                continue
+            else:
                 s = bisect_right(row, r, 0, s - 1)
-                if not s:
-                    break
-                low = 3 * s - 3
+            if not s:
+                break
+            low = first[s]
             r -= row[s - 1]
-            parts.append(s)
+            append(s)
             m -= s
         comps.append(tuple(parts))
     return MultiPartition._from_valid(comps)
 
 
 def _entry(table: _Table, m: int, b: int) -> int:
-    """T_t[m][b]: stored for b <= m // 3, else the closed form."""
+    """T_t[m][b]: stored for b <= w(m), else the sum."""
     row = table.rows[m]
     if b < len(row):
         return row[b]
-    return table.diagonal[m] - table.cum[m - b] + table.skip[max(m - 2 * b, 0)]
+    return table.sums[0][m] - _tail(table.sums, m, b)
 
 
 def rank_multipartition(mp) -> int:
@@ -552,4 +589,4 @@ def rank_multipartition(mp) -> int:
         for s in comp:
             r += _entry(table, m, s - 1)
             m -= s
-    return tables[-1].diagonal[n] - 1 - r
+    return tables[-1].sums[0][n] - 1 - r

@@ -518,9 +518,6 @@ class CharTable(NamedTuple):
     values: tuple[tuple[int, ...], ...]  # values[row][col]
     class_sizes: tuple[int, ...]
 
-    def value(self, lam: MultiPartition, mu: MultiPartition) -> int:
-        return self.values[self.row_labels.index(lam)][self.col_labels.index(mu)]
-
     def to_json_dict(self) -> dict:
         return {
             "group": self.group.name,

@@ -400,19 +400,23 @@ class TestDominance:
 
 def _full_rows(table, n):
     """The full rows T_t[m][0..m] of one completion table: the stored
-    entries for b <= m // 3, the middle form p_{t+1}(m) - cum[m - b] +
-    skip[m - 2b] for m // 3 <= b <= m // 2 and the top form
-    p_{t+1}(m) - cum[m - b] for b >= m // 2.  Where two regions meet, at
-    b = m // 3 and at b = m // 2, both must give the same entry."""
-    rows, diagonal, cum, skip = table
+    entries for b <= w(m) and, from b = w(m) on, Euler's sum
+    T_t[m][b] = sum_r (-1)^r A_r[m - r*b - r(r+1)/2] over the eight arrays
+    A_r, terms with a negative index left out.  At b = w(m), where the two
+    meet, both must give the same entry."""
+    rows, sums = table.rows, table.sums
+    assert len(sums) == 8
     full = []
     for m in range(n + 1):
-        row, third, h = rows[m], m // 3, m // 2
-        middle = [diagonal[m] - cum[m - b] + skip[m - 2 * b] for b in range(third, h + 1)]
-        top = [diagonal[m] - cum[m - b] for b in range(h, m + 1)]
-        assert middle[0] == row[third], m
-        assert middle[-1] == top[0], m
-        full.append(row[:third] + middle[:-1] + top)
+        row = rows[m]
+        w = len(row) - 1
+        summed = [
+            sum((-1) ** r * a[m - r * b - r * (r + 1) // 2]
+                for r, a in enumerate(sums) if m - r * b - r * (r + 1) // 2 >= 0)
+            for b in range(w, m + 1)
+        ]
+        assert summed[0] == row[w], m
+        full.append(row[:w] + summed)
     return full
 
 
@@ -505,7 +509,7 @@ class TestUnranking:
         for k in (1, 2, 3):
             for n in range(40):
                 tables = _completion_tables(n, k)
-                assert tables[-1][1][n] == count_multipartitions(n, k)
+                assert tables[-1].sums[0][n] == count_multipartitions(n, k)
                 oracle = oracles.completion_tables(n, k)
                 for t, table in enumerate(tables):
                     full = _full_rows(table, n)
@@ -513,9 +517,9 @@ class TestUnranking:
                     assert full[n][n] == oracle[t][n][n] == count_multipartitions(n, t + 1)
 
     def test_tables_match_oracle(self):
-        # every entry T_t[m][b], 0 <= b <= m, stored (b <= m // 3) or read
-        # from a closed form (b >= m // 3), against the entry-at-a-time
-        # double loop
+        # every entry T_t[m][b], 0 <= b <= m, stored (b <= w(m)) or read
+        # from Euler's sum (b >= w(m)), against the entry-at-a-time double
+        # loop
         for k in (1, 2, 3):
             for n in range(61):
                 got = [_full_rows(table, n) for table in _completion_tables(n, k)]
@@ -534,12 +538,26 @@ class TestUnranking:
                 got = unrank_multipartition(n, k, i)
                 assert got.as_tuples() == oracles.unrank_multipartition(n, k, i, tables), (n, k, i)
                 assert rank_multipartition(got) == i
+        # a first part s in (n // 8, n // 2], where the walk searches the sum
+        # with up to eight terms, in either component; with the ranks on
+        # both sides of each
+        n = 400
+        tables = oracles.completion_tables(n, 2)
+        for s in range(n // 8 + 1, n // 2 + 1):
+            ones = (s,) + (1,) * (n - s)
+            for label in ((ones, ()), ((), ones)):
+                i = rank_multipartition(label)
+                assert unrank_multipartition(n, 2, i) == label
+                for j in (i - 1, i, i + 1):
+                    got = unrank_multipartition(n, 2, j)
+                    assert got == oracles.unrank_multipartition(n, 2, j, tables), (s, j)
+                    assert rank_multipartition(got) == j
 
     def test_unrank_matches_oracle_exhaustive(self):
         # every rank for n <= 14, k <= 3: covers the stored branch and both
-        # closed-form searches of the walk (a next part in the middle region,
-        # which spans up to three parts at m = 14, and one above it), and
-        # rank reads the same entries back
+        # searches of the sum in the walk (a next part between w(m) = m // 3
+        # and m // 2, which spans up to three parts at m = 14, and one above
+        # it), and rank reads the same entries back
         for k in (1, 2, 3):
             for n in range(15):
                 tables = oracles.completion_tables(n, k)
@@ -559,15 +577,25 @@ class TestUnranking:
             m.as_tuples() for m in enumerate_multipartitions(5, 2)
         )
 
-    def test_rows_store_a_third(self):
-        # row m keeps T_t[m][0..m // 3]; the closed forms give the rest
+    def test_rows_store_an_eighth(self):
+        # row m keeps T_t[m][0..w(m)], w(m) = max(m // 8, min(m // 3, 16)):
+        # a third up to m = 50, an eighth from m = 128; the sum gives the rest
         for k in (1, 2, 3):
             for table in _completion_tables(300, k):
-                assert [len(row) for row in table.rows] == [m // 3 + 1 for m in range(301)]
+                widths = [len(row) - 1 for row in table.rows]
+                assert widths == [max(m // 8, min(m // 3, 16)) for m in range(301)]
+                assert widths[:51] == [m // 3 for m in range(51)]
+                # the walk's first[s]: the first row that stores entry s - 1
+                for s in range(1, 301):
+                    m = next((m for m in range(301) if widths[m] >= s - 1), None)
+                    if m is None:
+                        assert table.first[s] > 300, s
+                    else:
+                        assert table.first[s] == m, s
 
-    def test_tables_at_600_stay_under_6_5_mib(self):
-        # 5.7 MiB by tracemalloc at n = 600, k = 2; rows stored up to
-        # b = m // 2 took 8.4
+    def test_tables_at_600_stay_under_3_mib(self):
+        # 2.5 MiB by tracemalloc at n = 600, k = 2; rows stored up to
+        # b = m // 3 took 5.7, and up to b = m // 2 took 8.4
         _count_array(600, 2)  # the count arrays are cached apart from the tables
         _completion_tables.cache_clear()
         tracemalloc.start()
@@ -576,7 +604,7 @@ class TestUnranking:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6.5 * 2**20, peak / 2**20
+        assert peak <= 3 * 2**20, peak / 2**20
 
     def test_only_latest_tables_stay(self):
         first = unrank_multipartition(7, 2, 11)
