@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .partitions import MultiPartition, _check_int, _check_pair, _is_int, is_t_core
+from .partitions import MultiPartition, _check_int, _check_pair, _is_int, _label, is_t_core
 from .wreath_chars import _check_query
 
 
@@ -78,8 +78,10 @@ def _canonical(mu: MultiPartition, p: int) -> MultiPartition:
 
 
 def mash_canonical(mu: MultiPartition, p: int) -> MashedClass:
-    """Merge-maximal representative of mu's equivalence class mod p."""
+    """Merge-maximal representative of mu's equivalence class mod p; mu is
+    validated as ``MultiPartition(mu)`` unless it is a label already."""
     require_prime(p)
+    mu = _label(MultiPartition, mu)
     canonical = _canonical(mu, p)
     largest = max((comp[0] for comp in canonical if comp), default=0)
     return MashedClass(original=mu, prime=p, canonical=canonical, largest_part=largest)
@@ -87,7 +89,7 @@ def mash_canonical(mu: MultiPartition, p: int) -> MashedClass:
 
 def sim_p_equivalent(mu: MultiPartition, nu: MultiPartition, p: int) -> bool:
     """True iff mu and nu share the canonical mashed form."""
-    _check_pair(mu, nu)
+    mu, nu = _check_pair(mu, nu)
     return mash_canonical(mu, p).canonical == mash_canonical(nu, p).canonical
 
 
@@ -95,7 +97,7 @@ def zero_certificate(lam: MultiPartition, mashed: MashedClass) -> bool:
     """True iff the largest mashed part t >= 1 and every component of lambda
     is a t-core, in which case chi^lambda vanishes on the canonical class
     (no rimhook of length t fits anywhere, and the value is order-free)."""
-    _check_pair(lam, mashed.canonical)
+    lam, _ = _check_pair(lam, mashed.canonical)
     t = mashed.largest_part
     if t < 1:
         return False
@@ -104,5 +106,5 @@ def zero_certificate(lam: MultiPartition, mashed: MashedClass) -> bool:
 
 def predicted_divisible(group, lam: MultiPartition, mu: MultiPartition, p: int) -> bool:
     """Sound one-sided test: True implies p divides chi^lambda_mu."""
-    _check_query(group, lam, mu)
+    lam, mu = _check_query(group, lam, mu)
     return zero_certificate(lam, mash_canonical(mu, p))

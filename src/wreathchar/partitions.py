@@ -5,7 +5,9 @@ A label is its part tuples: ``Partition`` is a tuple of its parts and
 ``MultiPartition`` a tuple of its ``Partition`` components, so a label
 equals, hashes and orders as the plain tuple of part tuples, and every
 module reads it as one.  The constructors validate; ``_from_valid`` is the
-one unchecked constructor, for parts valid by construction.
+one unchecked constructor, for parts valid by construction.  Every public
+function takes a label or its plain part tuples, and ``_label`` passes a
+label through and sends anything else through the constructor.
 
 A beta-set has one form, the bits of one Python int (``_beta_mask``), and
 border strips have one primitive on it, ``_strips``: the single-cell and the
@@ -67,11 +69,6 @@ class Partition(tuple):
         return tuple.__new__(cls, parts)
 
     @property
-    def parts(self) -> "Partition":
-        """The parts: the partition itself."""
-        return self
-
-    @property
     def size(self) -> int:
         return sum(self)
 
@@ -97,26 +94,12 @@ class MultiPartition(tuple):
         return tuple.__new__(cls, comps)
 
     @property
-    def components(self) -> "MultiPartition":
-        """The components: the multipartition itself."""
-        return self
-
-    @property
     def k(self) -> int:
         return len(self)
 
     @property
     def total(self) -> int:
         return sum(map(sum, self))
-
-    def as_tuples(self) -> "MultiPartition":
-        """The tuple of part tuples: the multipartition itself."""
-        return self
-
-    @classmethod
-    def from_tuples(cls, tuples) -> "MultiPartition":
-        """The same as ``MultiPartition(tuples)``."""
-        return cls(tuples)
 
     @classmethod
     def _from_valid(cls, tuples) -> "MultiPartition":
@@ -127,6 +110,12 @@ class MultiPartition(tuple):
 
     def __repr__(self):
         return f"MultiPartition({[list(c) for c in self]})"
+
+
+def _label(cls, value):
+    """value as a ``cls`` label: itself when it is one, so that a label pays
+    only a type check, else validated by the constructor."""
+    return value if type(value) is cls else cls(value)
 
 
 class RimhookRemoval(NamedTuple):
@@ -193,10 +182,10 @@ def enumerate_multipartitions(n: int, k: int) -> Iterator[MultiPartition]:
 
 
 @lru_cache(maxsize=1)
-def multipartitions_of(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Tuple-of-tuples form of the canonical enumeration (engine use); only
+def multipartitions_of(n: int, k: int) -> tuple[MultiPartition, ...]:
+    """The canonical enumeration as one tuple of labels (engine use); only
     the latest (n, k) is kept."""
-    return tuple(_multipartition_tuples(n, k))
+    return tuple(map(MultiPartition._from_valid, _multipartition_tuples(n, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +255,14 @@ def count_multipartitions(n: int, k: int) -> int:
 
 def hook_lengths(p: Partition) -> list[list[int]]:
     """Hook length of every cell, row by row (arm + leg + 1)."""
+    p = _label(Partition, p)
     conj = p.conjugate()
     return [[(p[i] - j) + (conj[j] - i) - 1 for j in range(p[i])] for i in range(len(p))]
 
 
 def syt_count(p: Partition) -> int:
     """Number of standard Young tableaux of shape p (hook length formula)."""
+    p = _label(Partition, p)
     prod = 1
     for row in hook_lengths(p):
         for h in row:
@@ -371,17 +362,20 @@ def _dominates_parts(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return True
 
 
-def _check_pair(a: MultiPartition, b: MultiPartition) -> None:
-    """Raises ValueError unless a and b have the same component count and total."""
+def _check_pair(a: MultiPartition, b: MultiPartition) -> tuple[MultiPartition, MultiPartition]:
+    """a and b as labels; raises ValueError unless they have the same
+    component count and total."""
+    a, b = _label(MultiPartition, a), _label(MultiPartition, b)
     if a.k != b.k:
         raise ValueError(f"component counts differ: {a.k} vs {b.k}")
     if a.total != b.total:
         raise ValueError(f"totals differ: {a.total} vs {b.total}")
+    return a, b
 
 
 def dominates(a: MultiPartition, b: MultiPartition) -> bool:
     """Componentwise dominance: every a_i dominates b_i (zero-padded partial sums)."""
-    _check_pair(a, b)
+    a, b = _check_pair(a, b)
     return all(map(_dominates_parts, a, b))
 
 
@@ -580,7 +574,7 @@ def _entry(table: _Table, m: int, b: int) -> int:
 def rank_multipartition(mp) -> int:
     """Position of mp in the canonical enumeration; inverse of unrank.  Any
     label goes in: mp is validated as ``MultiPartition(mp)``."""
-    mp = MultiPartition(mp)
+    mp = _label(MultiPartition, mp)
     n, k = mp.total, mp.k
     tables = _completion_tables(n, k)
     r = 0

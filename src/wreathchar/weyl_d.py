@@ -25,6 +25,7 @@ from .congruence import _mash_component, require_prime
 from .partitions import (
     MultiPartition,
     _check_int,
+    _label,
     count_multipartitions,
     count_partitions,
     multipartitions_of,
@@ -42,6 +43,7 @@ def bn_class_in_dn(mu: MultiPartition) -> bool:
 
 def psi_value(mu: MultiPartition) -> int:
     """The sign-product character on the class mu of B_N."""
+    mu = _label(MultiPartition, mu)
     if mu.k != 2:
         raise ValueError("type D needs 2-multipartition labels")
     return -1 if len(mu[1]) % 2 else 1
@@ -94,7 +96,7 @@ def dn_half_classes_property(n: int) -> Fraction:
     return Fraction(_dn_column_count(n), count_multipartitions(n, 2))
 
 
-def nonsplit_rows(n: int) -> list[tuple[tuple[int, ...], ...]]:
+def nonsplit_rows(n: int) -> list[MultiPartition]:
     """One representative per unordered pair {lambda, mu}, lambda != mu: the
     lexicographically smaller of the two orderings."""
     rows = []

@@ -44,7 +44,7 @@ from .partitions import (
     _beta_mask,
     _check_int,
     _check_pair,
-    _is_int,
+    _label,
     _multipartition_tuples,
     _strips,
     count_multipartitions,
@@ -66,9 +66,11 @@ def _check_workers(workers: int):
 
 
 def _check_query(group: GroupData, lam: MultiPartition, mu: MultiPartition):
+    """lam and mu as labels, checked as a cell of group's table."""
+    lam = _label(MultiPartition, lam)
     if lam.k != group.k:
         raise ValueError(f"lambda must have k={group.k} components, got {lam.k}")
-    _check_pair(lam, mu)
+    return _check_pair(lam, mu)
 
 
 def flatten_class(mu: Iterable[tuple[int, ...]]) -> tuple[tuple[int, int], ...]:
@@ -98,6 +100,7 @@ def class_size(group: GroupData, mu: MultiPartition) -> int:
     |class| = |G|^n n! / prod_{i,l} ( (l * z_i)^{m_il} * m_il! )  where m_il
     is the multiplicity of part l in component i; the division is exact.
     """
+    mu = _label(MultiPartition, mu)
     if mu.k != group.k:
         raise ValueError(f"class label needs k={group.k} components")
     n = mu.total
@@ -156,7 +159,7 @@ def mn_character(group: GroupData, lam: MultiPartition, mu: MultiPartition) -> i
 
     Values are memoized per (group table, lambda, mu) in a bounded LRU memo.
     """
-    _check_query(group, lam, mu)
+    lam, mu = _check_query(group, lam, mu)
     return _mn_value(group.table, lam, mu)
 
 
@@ -299,7 +302,7 @@ def _peel_step(levels: dict, remaining: int, length: int, group: GroupData) -> t
     return step
 
 
-def character_column(group: GroupData, n: int, mu_tuples) -> list[int]:
+def character_column(group: GroupData, n: int, mu: MultiPartition) -> list[int]:
     """chi^lambda_mu for every lambda of n at once (same recurrence, run
     bottom-up over the flattened sequence), as a list aligned with
     ``multipartitions_of(n, group.k)``.
@@ -309,29 +312,24 @@ def character_column(group: GroupData, n: int, mu_tuples) -> list[int]:
     at the partial class nu peeled so far, each row's value is its
     representative's times Theta(nu) = +-1.
 
-    Raises ValueError unless n is an integer >= 0 and mu_tuples is a label
-    of the table: group.k components of integer parts >= 1 that sum to n.
+    Raises ValueError unless n is an integer >= 0 and mu is a label (or its
+    part tuples) of the table: group.k components that sum to n.
     """
     k = group.k
     _check_int("n", n)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if len(mu_tuples) != k:
-        raise ValueError(f"class label needs k={k} components, got {len(mu_tuples)}")
-    for comp in mu_tuples:
-        for part in comp:
-            if not _is_int(part):
-                raise ValueError(f"class label {mu_tuples} has a non-integer part {part!r}")
-            if part < 1:
-                raise ValueError(f"class label {mu_tuples} has a part below 1")
-    if sum(map(sum, mu_tuples)) != n:
-        raise ValueError(f"class label {mu_tuples} does not have total {n}")
+    mu = _label(MultiPartition, mu)
+    if mu.k != k:
+        raise ValueError(f"class label needs k={k} components, got {mu.k}")
+    if mu.total != n:
+        raise ValueError(f"class label {mu} does not have total {n}")
     table = group.table
     levels = _step_tables(n, table)
     values = [1]  # the one multipartition of 0
     remaining = 0
     odd = [0] * k  # the parity of each component's length in nu
-    for length, j in reversed(flatten_class(mu_tuples)):
+    for length, j in reversed(flatten_class(mu)):
         remaining += length
         odd[j] ^= 1
         factors = [table[q][j] for q in range(k)]
@@ -384,7 +382,7 @@ def perm_character(group: GroupData, lam: MultiPartition, mu: MultiPartition) ->
     binomial choices); a mu_j part landing in component q contributes
     table[q][j].  Rows are processed in decreasing length to prune early.
     """
-    _check_query(group, lam, mu)
+    lam, mu = _check_query(group, lam, mu)
     table = group.table
     rows = sorted(
         ((q, length) for q, comp in enumerate(lam) for length in comp),
@@ -472,6 +470,7 @@ def kostka(beta: Partition, gamma: Partition) -> int:
 
     Nonzero exactly when gamma dominates beta; K^{beta,beta} = 1.
     """
+    beta, gamma = _label(Partition, beta), _label(Partition, gamma)
     if beta.size != gamma.size:
         raise ValueError(f"sizes differ: {beta.size} vs {gamma.size}")
     return _kostka_rec(gamma, beta, {})
@@ -479,6 +478,7 @@ def kostka(beta: Partition, gamma: Partition) -> int:
 
 def perm_multiplicity(lam: MultiPartition, eta: MultiPartition) -> int:
     """c(lambda,eta) = prod_i K^{lambda_i,eta_i}; zero when component sizes differ."""
+    lam, eta = _label(MultiPartition, lam), _label(MultiPartition, eta)
     if lam.k != eta.k:
         raise ValueError(f"component counts differ: {lam.k} vs {eta.k}")
     out = 1
@@ -497,6 +497,7 @@ def perm_multiplicity(lam: MultiPartition, eta: MultiPartition) -> int:
 
 def dimension(group: GroupData, lam: MultiPartition) -> int:
     """dim V^lambda = n!/(a_1! ... a_k!) * prod f^{lambda_i} * prod deg_i^{a_i}."""
+    lam = _label(MultiPartition, lam)
     if lam.k != group.k:
         raise ValueError(f"label needs k={group.k} components")
     degrees = group.degrees()
@@ -575,14 +576,13 @@ def character_table(
     # the rows are assembled only after the step tables are gone, so the
     # peak memory holds one or the other
     columns = list(_columns(group, n, labels, workers))
-    mps = tuple(map(MultiPartition._from_valid, labels))
     values = tuple(zip(*columns))
-    sizes = tuple(class_size(group, mu) for mu in mps)
+    sizes = tuple(class_size(group, mu) for mu in labels)
     return CharTable(
         group=group,
         n=n,
-        row_labels=mps,
-        col_labels=mps,
+        row_labels=labels,
+        col_labels=labels,
         values=values,
         class_sizes=sizes,
     )

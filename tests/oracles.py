@@ -104,7 +104,7 @@ def twisted_label(table, lam, theta, e):
     out = [()] * len(table)
     for q, comp in enumerate(lam):
         target = table.index(tuple(t * v for t, v in zip(theta, table[q])))
-        out[target] = Partition(comp).conjugate().parts if e else tuple(comp)
+        out[target] = Partition(comp).conjugate() if e else tuple(comp)
     return tuple(out)
 
 
@@ -420,7 +420,7 @@ def reference_csv(table):
     byte."""
 
     def encode(lab):
-        return json.dumps([list(p.parts) for p in lab.components], separators=(",", ":"))
+        return json.dumps([list(p) for p in lab], separators=(",", ":"))
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

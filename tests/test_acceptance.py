@@ -55,7 +55,7 @@ def z2_tables():
 
 
 def _labels(n, k):
-    return [MultiPartition.from_tuples(t) for t in multipartitions_of(n, k)]
+    return [MultiPartition(t) for t in multipartitions_of(n, k)]
 
 
 def _orthogonal(table, order):
@@ -92,7 +92,7 @@ def test_criterion_01_orthogonality(z2_tables):
             break
         ident = [()] * g.k
         ident[g.identity_class] = (1,) * n
-        col = table.col_labels.index(MultiPartition.from_tuples(ident))
+        col = table.col_labels.index(MultiPartition(ident))
         for r, lam in enumerate(table.row_labels):
             if table.values[r][col] != dimension(g, lam):
                 ok = False
@@ -136,7 +136,7 @@ def test_criterion_03_mashing_congruence(z2_tables):
         for n in range(1, 8):
             table = z2_tables[n] if g is Z2 else character_table(g, n)
             labels = list(table.row_labels)
-            index = {m.as_tuples(): i for i, m in enumerate(table.col_labels)}
+            index = {m: i for i, m in enumerate(table.col_labels)}
             perm_cols = {}
             for p in (2, 3):
                 for mu in multipartitions_of(n, g.k):
@@ -148,7 +148,7 @@ def test_criterion_03_mashing_congruence(z2_tables):
                                 ok = False
                         for col in (mu, nu):
                             if col not in perm_cols:
-                                mp = MultiPartition.from_tuples(col)
+                                mp = MultiPartition(col)
                                 perm_cols[col] = [
                                     perm_character(g, lam, mp) for lam in labels
                                 ]
@@ -255,10 +255,10 @@ def test_criterion_09_type_d():
     twist_ok = True
     for n in range(1, 7):
         table = character_table(Z2, n)
-        index = {m.as_tuples(): i for i, m in enumerate(table.row_labels)}
+        index = {m: i for i, m in enumerate(table.row_labels)}
         for lam in table.row_labels:
-            swapped = MultiPartition([lam.components[1], lam.components[0]])
-            r1, r2 = index[lam.as_tuples()], index[swapped.as_tuples()]
+            swapped = MultiPartition([lam[1], lam[0]])
+            r1, r2 = index[lam], index[swapped]
             for c, nu in enumerate(table.col_labels):
                 if table.values[r1][c] != table.values[r2][c] * psi_value(nu):
                     twist_ok = False

@@ -38,7 +38,7 @@ def test_mixed_calls_leave_bounded_caches():
         character_table(g, n)
         exact_census(g, n, 3)
         dn_restricted_census(n + 1, 2, mode="exact")
-        labels = [MultiPartition.from_tuples(t) for t in multipartitions_of(n, g.k)]
+        labels = [MultiPartition(t) for t in multipartitions_of(n, g.k)]
         for lam, mu in zip(labels, reversed(labels)):
             mn_character(g, lam, mu)
         shapes = enumerate_partitions(n)

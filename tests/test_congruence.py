@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 
 from wreathchar.base_group import BUILTIN_NAMES, builtin
@@ -55,8 +57,34 @@ class TestMashCanonical:
         want = ((6, 1), (4, 3))
         for tuples in ([[6, 1], [4, 1, 1, 1]], [[2, 2, 2, 1], [4, 1, 1, 1]], [[2, 2, 2, 1], [4, 3]]):
             mashed = mash_canonical(MultiPartition(tuples), 3)
-            assert mashed.canonical.as_tuples() == want
+            assert mashed.canonical == want
             assert mashed.largest_part == 6
+
+    @pytest.mark.parametrize(
+        "mu, message",
+        [
+            (((0,), ()), r"parts must be positive, got 0 at index 0"),
+            (((-2,), ()), r"parts must be positive, got -2 at index 0"),
+            (((2.0,), ()), r"parts must be integers, got 2.0 at index 0"),
+            (((True,), ()), r"parts must be integers, got True at index 0"),
+            (((1, 3), ()), r"parts must be weakly decreasing, got \(1, 3\)"),
+        ],
+        ids=["zero", "negative", "float", "bool", "increasing"],
+    )
+    def test_rejects_bad_parts(self, mu, message):
+        # merging a part of 0 would divide it by p forever, so the call runs
+        # under a 5 s alarm: a hang fails the test instead of stalling it
+        def hang(signum, frame):
+            raise TimeoutError("mash_canonical did not return within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.setitimer(signal.ITIMER_REAL, 5)
+        try:
+            with pytest.raises(ValueError, match=rf"^{message}$"):
+                mash_canonical(mu, 2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_fixed_point(self):
         mu = MultiPartition([[5, 3, 1], [2]])
@@ -67,17 +95,17 @@ class TestMashCanonical:
         for n in range(0, 11):
             for p in (2, 3, 5):
                 for tuples in multipartitions_of(n, 2):
-                    mu = MultiPartition.from_tuples(tuples)
+                    mu = MultiPartition(tuples)
                     mashed = mash_canonical(mu, p)
                     again = mash_canonical(mashed.canonical, p)
                     assert again.canonical == mashed.canonical
                     # no part repeats p or more times
-                    for comp in mashed.canonical.as_tuples():
+                    for comp in mashed.canonical:
                         for part in set(comp):
                             assert comp.count(part) < p
                     # every single generator step preserves the canonical form
                     for stepped in generator_steps(tuples, p):
-                        other = mash_canonical(MultiPartition.from_tuples(stepped), p)
+                        other = mash_canonical(MultiPartition(stepped), p)
                         assert other.canonical == mashed.canonical
 
     def test_base_p_digit_view(self):
@@ -98,8 +126,8 @@ class TestMashCanonical:
 
         for p in (2, 3):
             for tuples in multipartitions_of(9, 2):
-                mu = MultiPartition.from_tuples(tuples)
-                canon = mash_canonical(mu, p).canonical.as_tuples()
+                mu = MultiPartition(tuples)
+                canon = mash_canonical(mu, p).canonical
                 for orig_comp, canon_comp in zip(tuples, canon):
                     for root, weight in chain_weights(orig_comp, p).items():
                         digits = Counter()
@@ -122,7 +150,7 @@ class TestMashCanonical:
         for n in range(0, 21):
             for lam in enumerate_partitions(n):
                 for p in (2, 3, 5, 7):
-                    assert _mash_component(lam.parts, p) == oracles.mash_component_carry(lam.parts, p), (lam, p)
+                    assert _mash_component(lam, p) == oracles.mash_component_carry(lam, p), (lam, p)
 
     def test_totals_preserved(self):
         mu = MultiPartition([[4, 2, 2, 1, 1, 1], [3, 3, 3]])
@@ -168,17 +196,17 @@ class TestColumnCongruence:
 
         for g, nmax in ((TRIVIAL, 5), (Z2, 5)):
             for n in range(1, nmax + 1):
-                labels = [MultiPartition.from_tuples(t) for t in multipartitions_of(n, g.k)]
+                labels = [MultiPartition(t) for t in multipartitions_of(n, g.k)]
                 table = character_table(g, n)
-                index = {m.as_tuples(): i for i, m in enumerate(table.col_labels)}
+                index = {m: i for i, m in enumerate(table.col_labels)}
                 for p in (2, 3):
                     for mu in multipartitions_of(n, g.k):
                         for nu in generator_steps(mu, p):
                             ci, cj = index[mu], index[nu]
                             for r in range(len(labels)):
                                 assert (table.values[r][ci] - table.values[r][cj]) % p == 0
-                            mu_mp = MultiPartition.from_tuples(mu)
-                            nu_mp = MultiPartition.from_tuples(nu)
+                            mu_mp = MultiPartition(mu)
+                            nu_mp = MultiPartition(nu)
                             for lam in labels:
                                 diff = perm_character(g, lam, mu_mp) - perm_character(g, lam, nu_mp)
                                 assert diff % p == 0
@@ -224,15 +252,15 @@ class TestZeroCertificate:
 
     def test_trivial_label_never_certified(self):
         for n in range(1, 8):
-            lam = MultiPartition.from_tuples(((n,), ()))
+            lam = MultiPartition(((n,), ()))
             for p in (2, 3):
                 for mu in multipartitions_of(n, 2):
-                    assert not predicted_divisible(Z2, lam, MultiPartition.from_tuples(mu), p)
+                    assert not predicted_divisible(Z2, lam, MultiPartition(mu), p)
 
     def test_certified_implies_zero_at_canonical(self):
         for n in range(1, 8):
             for p in (2, 3):
-                labels = [MultiPartition.from_tuples(t) for t in multipartitions_of(n, 2)]
+                labels = [MultiPartition(t) for t in multipartitions_of(n, 2)]
                 for mu in labels:
                     mashed = mash_canonical(mu, p)
                     for lam in labels:

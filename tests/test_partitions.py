@@ -8,7 +8,7 @@ from enum import IntEnum
 import pytest
 
 from wreathchar.base_group import builtin
-from wreathchar.congruence import mash_canonical
+from wreathchar.congruence import mash_canonical, predicted_divisible, sim_p_equivalent, zero_certificate
 from wreathchar.partitions import (
     MultiPartition,
     Partition,
@@ -29,7 +29,16 @@ from wreathchar.partitions import (
     _count_array,
     _partition_tuples,
 )
-from wreathchar.wreath_chars import character_table
+from wreathchar.weyl_d import bn_class_in_dn, nonsplit_rows
+from wreathchar.wreath_chars import (
+    character_table,
+    class_size,
+    dimension,
+    kostka,
+    mn_character,
+    perm_character,
+    perm_multiplicity,
+)
 
 import oracles
 
@@ -38,6 +47,28 @@ def _assert_label(mp):
     # a label equals its plain part tuples, so only its type tells them apart
     assert type(mp) is MultiPartition, mp
     assert all(type(c) is Partition for c in mp), mp
+
+
+# a cell of Z2 wr S_4 and a partition, as plain part tuples; each call
+# takes the identity (plain) or MultiPartition and Partition (labels)
+Z2 = builtin("Z2")
+LAM, MU, NU, SHAPE = ((2, 1), (1,)), ((1, 1), (2,)), ((2, 2), ()), (4, 2, 1)
+LABEL_CALLS = {
+    "mn_character": lambda L, P: mn_character(Z2, L(LAM), L(MU)),
+    "perm_character": lambda L, P: perm_character(Z2, L(LAM), L(MU)),
+    "predicted_divisible": lambda L, P: predicted_divisible(Z2, L(LAM), L(NU), 2),
+    "class_size": lambda L, P: class_size(Z2, L(MU)),
+    "dimension": lambda L, P: dimension(Z2, L(LAM)),
+    "dominates": lambda L, P: dominates(L(NU), L(MU)),
+    "sim_p_equivalent": lambda L, P: sim_p_equivalent(L(NU), L(((2, 1, 1), ())), 2),
+    "zero_certificate": lambda L, P: zero_certificate(L(LAM), mash_canonical(L(NU), 2)),
+    "mash_canonical": lambda L, P: mash_canonical(L(((2, 1, 1), (1, 1))), 2),
+    "perm_multiplicity": lambda L, P: perm_multiplicity(L(((1, 1), (1, 1))), L(((2,), (2,)))),
+    "bn_class_in_dn": lambda L, P: bn_class_in_dn(L(MU)),
+    "hook_lengths": lambda L, P: hook_lengths(P(SHAPE)),
+    "syt_count": lambda L, P: syt_count(P(SHAPE)),
+    "kostka": lambda L, P: kostka(P((2, 1, 1)), P((3, 1))),
+}
 
 
 class TestTypes:
@@ -61,11 +92,11 @@ class TestTypes:
         mp = MultiPartition([[3, 1], [2]])
         assert mp.total == 6
         assert mp.k == 2
-        assert mp.as_tuples() == ((3, 1), (2,))
+        assert mp == ((3, 1), (2,))
 
     def test_conjugate(self):
-        assert Partition((4, 2, 1)).conjugate().parts == (3, 2, 1, 1)
-        assert Partition(()).conjugate().parts == ()
+        assert Partition((4, 2, 1)).conjugate() == (3, 2, 1, 1)
+        assert Partition(()).conjugate() == ()
 
 
 class TestLabelsAreTuples:
@@ -76,8 +107,18 @@ class TestLabelsAreTuples:
         assert hash(mp) == hash(plain)
         assert mp[0] == (3, 1) and hash(mp[0]) == hash((3, 1))
         assert len(mp) == mp.k == 3
-        assert mp.components is mp and mp[0].parts is mp[0]
         assert {plain: "found"}[mp] == "found"
+
+    @pytest.mark.parametrize("name", list(LABEL_CALLS))
+    def test_plain_tuples_give_the_label_answer(self, name):
+        call = LABEL_CALLS[name]
+        assert call(lambda x: x, lambda x: x) == call(MultiPartition, Partition)
+
+    def test_the_tuple_aliases_are_gone(self):
+        # a label is its part tuples, so it has no accessor that returns itself
+        for name in ("components", "as_tuples", "from_tuples"):
+            assert not hasattr(MultiPartition, name)
+        assert not hasattr(Partition, "parts")
 
     @pytest.mark.parametrize(
         "round_trip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"]
@@ -101,7 +142,7 @@ class TestLabelsAreTuples:
             _assert_label(unrank_multipartition(6, 2, i))
             _assert_label(mash_canonical(unrank_multipartition(6, 2, i), 2).canonical)
         table = character_table(builtin("S3"), 3)
-        for mp in table.row_labels + table.col_labels:
+        for mp in table.row_labels + table.col_labels + multipartitions_of(4, 2) + tuple(nonsplit_rows(4)):
             _assert_label(mp)
         removals = remove_rimhooks(Partition((4, 3, 1)), 3) + remove_rimhooks(Partition((3,)), 3)
         assert removals and all(type(r.remainder) is Partition for r in removals)
@@ -109,10 +150,10 @@ class TestLabelsAreTuples:
 
 class TestEnumeration:
     def test_empty(self):
-        assert [p.parts for p in enumerate_partitions(0)] == [()]
+        assert enumerate_partitions(0) == [()]
 
     def test_four(self):
-        assert [p.parts for p in enumerate_partitions(4)] == [
+        assert enumerate_partitions(4) == [
             (4,),
             (3, 1),
             (2, 2),
@@ -125,12 +166,12 @@ class TestEnumeration:
 
     def test_descending_lex(self):
         for n in range(9):
-            seq = [p.parts for p in enumerate_partitions(n)]
+            seq = enumerate_partitions(n)
             assert seq == sorted(seq, reverse=True)
             assert len(seq) == len(set(seq)) == count_partitions(n)
 
     def test_multipartitions_2_2(self):
-        got = [m.as_tuples() for m in enumerate_multipartitions(2, 2)]
+        got = list(enumerate_multipartitions(2, 2))
         assert got == [
             ((2,), ()),
             ((1, 1), ()),
@@ -142,16 +183,16 @@ class TestEnumeration:
     def test_multipartitions_zero(self):
         for k in (1, 2, 4):
             got = list(enumerate_multipartitions(0, k))
-            assert got == [MultiPartition.from_tuples(((),) * k)]
+            assert got == [MultiPartition(((),) * k)]
 
     def test_multipartitions_k1_match_partitions(self):
-        got = [m.components[0] for m in enumerate_multipartitions(3, 1)]
+        got = [m[0] for m in enumerate_multipartitions(3, 1)]
         assert got == enumerate_partitions(3)
 
     def test_count_matches_enumeration(self):
         for n in range(9):
             for k in (1, 2, 3):
-                mps = [m.as_tuples() for m in enumerate_multipartitions(n, k)]
+                mps = list(enumerate_multipartitions(n, k))
                 assert len(mps) == len(set(mps)) == count_multipartitions(n, k)
                 assert mps == sorted(mps, reverse=True)
 
@@ -322,7 +363,7 @@ class TestRimhooks:
     def test_single_removal_from_3_2(self):
         got = remove_rimhooks(Partition((3, 2)), 3)
         assert len(got) == 1
-        assert got[0].remainder.parts == (1, 1)
+        assert got[0].remainder == (1, 1)
         assert got[0].height == 1
         assert got[0].length == 3
 
@@ -343,14 +384,14 @@ class TestRimhooks:
         for parts, by_length in want.items():
             for length, removals in by_length.items():
                 got = remove_rimhooks(Partition(parts), length)
-                assert [(r.remainder.parts, r.height) for r in got] == removals, (parts, length)
+                assert [(r.remainder, r.height) for r in got] == removals, (parts, length)
                 assert all(r.length == length for r in got)
 
     def test_single_row(self):
         for n in (1, 3, 6):
             got = remove_rimhooks(Partition((n,)), n)
             assert len(got) == 1
-            assert got[0].remainder.parts == ()
+            assert got[0].remainder == ()
             assert got[0].height == 0
 
     def test_exhaustive_against_cell_sets(self):
@@ -358,7 +399,7 @@ class TestRimhooks:
             for parts in _partition_tuples(n):
                 for length in range(1, n + 1):
                     fast = {
-                        (r.remainder.parts, r.height)
+                        (r.remainder, r.height)
                         for r in remove_rimhooks(Partition(parts), length)
                     }
                     assert fast == oracles.brute_strip_removals(parts, length)
@@ -429,11 +470,11 @@ class TestUnranking:
             ((), (2,)),
             ((), (1, 1)),
         ]
-        got = [unrank_multipartition(2, 2, i).as_tuples() for i in range(5)]
+        got = [unrank_multipartition(2, 2, i) for i in range(5)]
         assert got == want
 
     def test_zero(self):
-        assert unrank_multipartition(0, 3, 0).as_tuples() == ((), (), ())
+        assert unrank_multipartition(0, 3, 0) == ((), (), ())
 
     @pytest.mark.parametrize(
         "args, want",
@@ -536,7 +577,7 @@ class TestUnranking:
             total = count_multipartitions(n, k)
             for i in [0, total - 1] + [rng.randrange(total) for _ in range(300)]:
                 got = unrank_multipartition(n, k, i)
-                assert got.as_tuples() == oracles.unrank_multipartition(n, k, i, tables), (n, k, i)
+                assert got == oracles.unrank_multipartition(n, k, i, tables), (n, k, i)
                 assert rank_multipartition(got) == i
         # a first part s in (n // 8, n // 2], where the walk searches the sum
         # with up to eight terms, in either component; with the ranks on
@@ -563,19 +604,17 @@ class TestUnranking:
                 tables = oracles.completion_tables(n, k)
                 for i in range(count_multipartitions(n, k)):
                     got = unrank_multipartition(n, k, i)
-                    assert got.as_tuples() == oracles.unrank_multipartition(n, k, i, tables), (n, k, i)
+                    assert got == oracles.unrank_multipartition(n, k, i, tables), (n, k, i)
                     assert rank_multipartition(got) == i
 
     def test_set_equality_8_2(self):
         total = count_multipartitions(8, 2)
-        got = {unrank_multipartition(8, 2, i).as_tuples() for i in range(total)}
-        want = {m.as_tuples() for m in enumerate_multipartitions(8, 2)}
+        got = {unrank_multipartition(8, 2, i) for i in range(total)}
+        want = set(enumerate_multipartitions(8, 2))
         assert got == want
 
     def test_cached_engine_enumeration_matches(self):
-        assert multipartitions_of(5, 2) == tuple(
-            m.as_tuples() for m in enumerate_multipartitions(5, 2)
-        )
+        assert multipartitions_of(5, 2) == tuple(enumerate_multipartitions(5, 2))
 
     def test_rows_store_an_eighth(self):
         # row m keeps T_t[m][0..w(m)], w(m) = max(m // 8, min(m // 3, 16)):

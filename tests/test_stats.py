@@ -87,13 +87,13 @@ class TestCounterStream:
 class TestRandomMultipartition:
     def test_zero(self):
         got = random_multipartition(0, 3, CounterStream(1, 0))
-        assert got.as_tuples() == ((), (), ())
+        assert got == ((), (), ())
 
     def test_uniform_chi_square_2_2(self):
         draws = 500_000
         counts = Counter()
         for i in range(draws):
-            counts[random_multipartition(2, 2, CounterStream(2024, i)).as_tuples()] += 1
+            counts[random_multipartition(2, 2, CounterStream(2024, i))] += 1
         assert len(counts) == 5
         expected = draws / 5
         sigma = math.sqrt(draws * 0.2 * 0.8)
@@ -226,7 +226,7 @@ class TestCertificateCensus:
         from wreathchar.partitions import MultiPartition, multipartitions_of
 
         for n in range(1, 7):
-            labels = [MultiPartition.from_tuples(t) for t in multipartitions_of(n, 2)]
+            labels = [MultiPartition(t) for t in multipartitions_of(n, 2)]
             for p in (2, 3):
                 certified = 0
                 for mu in labels:

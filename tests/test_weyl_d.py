@@ -33,11 +33,11 @@ class TestClassMembership:
         for label, size in sizes.items():
             inside = dn_members.get(label, 0)
             assert inside in (0, size)  # classes never straddle D_N
-            assert bn_class_in_dn(MultiPartition.from_tuples(label)) == (inside == size)
+            assert bn_class_in_dn(MultiPartition(label)) == (inside == size)
 
     def test_psi_matches_membership(self):
         for tuples in multipartitions_of(5, 2):
-            mu = MultiPartition.from_tuples(tuples)
+            mu = MultiPartition(tuples)
             assert (psi_value(mu) == 1) == bn_class_in_dn(mu)
 
     def test_rejects_wrong_k(self):
@@ -97,20 +97,20 @@ class TestPsiTwist:
     def test_twist_identity_small(self):
         for n in range(1, 5):
             table = character_table(Z2, n)
-            index = {m.as_tuples(): i for i, m in enumerate(table.row_labels)}
+            index = {m: i for i, m in enumerate(table.row_labels)}
             for lam in table.row_labels:
-                swapped = MultiPartition([lam.components[1], lam.components[0]])
-                r1, r2 = index[lam.as_tuples()], index[swapped.as_tuples()]
+                swapped = MultiPartition([lam[1], lam[0]])
+                r1, r2 = index[lam], index[swapped]
                 for c, nu in enumerate(table.col_labels):
                     assert table.values[r1][c] == table.values[r2][c] * psi_value(nu)
 
     def test_rows_agree_on_dn_columns(self):
         for n in range(1, 6):
             table = character_table(Z2, n)
-            index = {m.as_tuples(): i for i, m in enumerate(table.row_labels)}
+            index = {m: i for i, m in enumerate(table.row_labels)}
             for lam in table.row_labels:
-                swapped = MultiPartition([lam.components[1], lam.components[0]])
-                r1, r2 = index[lam.as_tuples()], index[swapped.as_tuples()]
+                swapped = MultiPartition([lam[1], lam[0]])
+                r1, r2 = index[lam], index[swapped]
                 for c, nu in enumerate(table.col_labels):
                     if bn_class_in_dn(nu):
                         assert table.values[r1][c] == table.values[r2][c]
@@ -135,11 +135,11 @@ class TestRestrictedCensus:
 
     def test_exact_matches_b2_values(self):
         table = character_table(Z2, 2)
-        index = {m.as_tuples(): i for i, m in enumerate(table.row_labels)}
+        index = {m: i for i, m in enumerate(table.row_labels)}
         rows = nonsplit_rows(2)
         cols = [m for m in table.col_labels if bn_class_in_dn(m)]
         values = {
-            (lam, mu.as_tuples()): table.values[index[lam]][table.col_labels.index(mu)]
+            (lam, mu): table.values[index[lam]][table.col_labels.index(mu)]
             for lam in rows
             for mu in cols
         }
