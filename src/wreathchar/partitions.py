@@ -7,7 +7,10 @@ equals, hashes and orders as the plain tuple of part tuples, and every
 module reads it as one.  The constructors validate; ``_from_valid`` is the
 one unchecked constructor, for parts valid by construction.  Every public
 function takes a label or its plain part tuples, and ``_label`` passes a
-label through and sends anything else through the constructor.
+label through and sends anything else through the constructor.  The
+argument rules of the whole package live here: ``_label_k`` adds a
+component count to ``_label``, and ``_check_int`` checks an integer
+argument and, given one, its lower bound.
 
 A beta-set has one form, the bits of one Python int (``_beta_mask``), and
 border strips have one primitive on it, ``_strips``: the single-cell and the
@@ -40,10 +43,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_int(name: str, value) -> None:
+def _check_int(name: str, value, low: int | None = None) -> None:
     # the exact type first: it settles nearly every call on the draw path
     if type(value) is not int and not _is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 class Partition(tuple):
@@ -53,7 +58,10 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts=()):
-        parts = tuple(parts)
+        try:
+            parts = tuple(parts)
+        except TypeError:
+            raise ValueError(f"a partition is a sequence of parts, got {parts!r}") from None
         for i, p in enumerate(parts):
             if not _is_int(p):
                 raise ValueError(f"parts must be integers, got {p!r} at index {i}")
@@ -118,6 +126,14 @@ def _label(cls, value):
     return value if type(value) is cls else cls(value)
 
 
+def _label_k(value, k: int, name: str) -> MultiPartition:
+    """value as a ``MultiPartition`` label with k components."""
+    value = _label(MultiPartition, value)
+    if value.k != k:
+        raise ValueError(f"{name} needs k={k} components, got {value.k}")
+    return value
+
+
 class RimhookRemoval(NamedTuple):
     """One way to remove a border strip: what remains, rows spanned minus one,
     and the strip length (so remainder.size + length = original size)."""
@@ -166,18 +182,14 @@ def _multipartition_tuples(n: int, k: int) -> Iterator[tuple[tuple[int, ...], ..
 
 def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n, descending lex order; length equals count_partitions(n)."""
-    _check_int("n", n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_int("n", n, 0)
     return [Partition._from_valid(t) for t in _partition_tuples(n)]
 
 
 def enumerate_multipartitions(n: int, k: int) -> Iterator[MultiPartition]:
     """All k-multipartitions of n in the canonical descending-lex order."""
-    _check_int("n", n)
-    _check_int("k", k)
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
+    _check_int("n", n, 0)
+    _check_int("k", k, 1)
     return (MultiPartition._from_valid(t) for t in _multipartition_tuples(n, k))
 
 
@@ -234,18 +246,14 @@ def _count_array(n: int, k: int) -> list[int]:
 
 def count_partitions(n: int) -> int:
     """p(n) by the Euler pentagonal-number recurrence, exact."""
-    _check_int("n", n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_int("n", n, 0)
     return _count_array(n, 1)[n]
 
 
 def count_multipartitions(n: int, k: int) -> int:
     """p_k(n), exact, read off the cached pentagonal p_k array."""
-    _check_int("n", n)
-    _check_int("k", k)
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
+    _check_int("n", n, 0)
+    _check_int("k", k, 1)
     return _count_array(n, k)[n]
 
 
@@ -324,9 +332,8 @@ def _strip_removals(parts: tuple[int, ...], length: int) -> tuple[tuple[tuple[in
 def remove_rimhooks(p: Partition, length: int) -> list[RimhookRemoval]:
     """All distinct rimhooks of exactly ``length`` boxes whose removal leaves a
     valid partition; empty list when none exist."""
-    _check_int("length", length)
-    if length < 1:
-        raise ValueError("length must be positive")
+    p = _label(Partition, p)
+    _check_int("length", length, 1)
     return [
         RimhookRemoval(Partition._from_valid(rem), h, length)
         for rem, h in _strip_removals(p, length)
@@ -341,9 +348,8 @@ def is_t_core(p: Partition, t: int) -> bool:
     no bead has a free position t below it.  The tests tie this to the
     hook_lengths definition exhaustively.
     """
-    _check_int("t", t)
-    if t < 1:
-        raise ValueError("t must be positive")
+    p = _label(Partition, p)
+    _check_int("t", t, 1)
     mask = _beta_mask(p)
     return not (mask >> t) & ~mask
 
@@ -501,11 +507,9 @@ def _tail(sums: list[list[int]], m: int, b: int) -> int:
 
 def unrank_multipartition(n: int, k: int, index: int) -> MultiPartition:
     """The index-th k-multipartition of n in canonical order (0-based)."""
-    _check_int("n", n)
-    _check_int("k", k)
+    _check_int("n", n, 0)
+    _check_int("k", k, 1)
     _check_int("index", index)
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
     tables = _completion_tables(n, k)
     total = tables[-1].sums[0][n]  # p_k(n)
     if not 0 <= index < total:

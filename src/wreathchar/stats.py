@@ -38,7 +38,7 @@ from .partitions import (
     count_multipartitions,
     unrank_multipartition,
 )
-from .wreath_chars import DEFAULT_CELL_BUDGET, _check_workers, _pool_map, character_table, mn_character
+from .wreath_chars import DEFAULT_CELL_BUDGET, _pool_map, character_table, mn_character
 
 HR_COEFF = 2.0 * math.pi / math.sqrt(6.0)
 DEFAULT_CONFIDENCE = 0.99
@@ -261,17 +261,13 @@ def _sampled_census(
     confidence is given.  draw(seed, i) depends only on (seed, i), so the
     report is the same for any worker count; draw and test must pickle."""
     require_prime(p)
-    _check_int("n", n)
-    _check_int("group_k", group_k)
-    if group_k < 1:
-        raise ValueError("group_k must be >= 1")
-    _check_int("samples", samples)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_int("n", n, 0)
+    _check_int("group_k", group_k, 1)
+    _check_int("samples", samples, 1)
     _check_key("seed", seed)
     if confidence is not None and not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    _check_workers(workers)
+    _check_int("workers", workers, 1)
     _completion_tables(n, group_k)  # built before any fork, shared by workers
     hits = sum(_pool_map(partial(_hit, partial(draw, seed), test), range(samples), workers))
     low, high = (None, None) if confidence is None else wilson_interval(hits, samples, confidence)
@@ -336,14 +332,21 @@ def certificate_census(
 
 def asymptotic_check(k: int, n: int) -> float:
     """ln p_k(n) / ((2 pi / sqrt 6) * sqrt(k n)); tends to 1 from below."""
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
+    _check_int("k", k, 1)
+    _check_int("n", n, 1)
     return ln_big(count_multipartitions(n, k)) / (HR_COEFF * math.sqrt(k * n))
 
 
 def _as_fraction(delta) -> Fraction:
-    # str() first so a literal like 0.3 means 3/10, not its binary neighbour
-    return delta if isinstance(delta, Fraction) else Fraction(str(delta))
+    # str() first so a literal like 0.3 means 3/10, not its binary neighbour;
+    # a bool's str is a word, which no Fraction parses
+    try:
+        d = delta if isinstance(delta, Fraction) else Fraction(str(delta))
+        if 0 < d < 1:
+            return d
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"delta must be a number in (0, 1), got {delta!r}")
 
 
 def concentration_check(k: int, n: int, delta) -> Fraction:
@@ -351,12 +354,8 @@ def concentration_check(k: int, n: int, delta) -> Fraction:
     the open window (n/k (1-delta), n/k (1+delta)); no enumeration, just k
     convolutions of the window-masked partition counts, truncated at n."""
     d = _as_fraction(delta)
-    if not 0 < d < 1:
-        raise ValueError("delta must be in (0, 1)")
-    _check_int("k", k)
-    _check_int("n", n)
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
+    _check_int("k", k, 1)
+    _check_int("n", n, 0)
     lo = Fraction(n, k) * (1 - d)
     hi = Fraction(n, k) * (1 + d)
     window = [c if lo < a < hi else 0 for a, c in enumerate(_count_array(n, 1)[: n + 1])]

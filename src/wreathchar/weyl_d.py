@@ -25,7 +25,7 @@ from .congruence import _mash_component, require_prime
 from .partitions import (
     MultiPartition,
     _check_int,
-    _label,
+    _label_k,
     count_multipartitions,
     count_partitions,
     multipartitions_of,
@@ -43,9 +43,7 @@ def bn_class_in_dn(mu: MultiPartition) -> bool:
 
 def psi_value(mu: MultiPartition) -> int:
     """The sign-product character on the class mu of B_N."""
-    mu = _label(MultiPartition, mu)
-    if mu.k != 2:
-        raise ValueError("type D needs 2-multipartition labels")
+    mu = _label_k(mu, 2, "class label")
     return -1 if len(mu[1]) % 2 else 1
 
 
@@ -61,8 +59,7 @@ class DnIrrepCensus(NamedTuple):
 def dn_irrep_census(n: int) -> DnIrrepCensus:
     """Irreducible counts for D_N: (p_2(n) - p(n/2))/2 nonsplit pairs plus
     2 p(n/2) split halves for even n; p_2(n)/2 and 0 for odd n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_int("n", n, 1)
     p2 = count_multipartitions(n, 2)
     if n % 2:
         if p2 % 2:  # swapping the two components pairs off every label
@@ -91,8 +88,7 @@ def _dn_column_count(n: int) -> int:
 
 def dn_half_classes_property(n: int) -> Fraction:
     """Exact fraction of B_N classes lying inside D_N; always >= 1/2."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_int("n", n, 1)
     return Fraction(_dn_column_count(n), count_multipartitions(n, 2))
 
 
@@ -143,6 +139,7 @@ def dn_restricted_census(
     """
     require_prime(p)
     _check_int("n", n)
+    _check_int("cell_budget", cell_budget)
     if mode == "exact":
         for name, value in (("samples", samples), ("seed", seed)):
             if value is not None:

@@ -45,6 +45,7 @@ from .partitions import (
     _check_int,
     _check_pair,
     _label,
+    _label_k,
     _multipartition_tuples,
     _strips,
     count_multipartitions,
@@ -59,18 +60,9 @@ class CellBudgetExceeded(RuntimeError):
     """Raised when a full-table request would exceed the configured cell budget."""
 
 
-def _check_workers(workers: int):
-    _check_int("workers", workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-
 def _check_query(group: GroupData, lam: MultiPartition, mu: MultiPartition):
     """lam and mu as labels, checked as a cell of group's table."""
-    lam = _label(MultiPartition, lam)
-    if lam.k != group.k:
-        raise ValueError(f"lambda must have k={group.k} components, got {lam.k}")
-    return _check_pair(lam, mu)
+    return _check_pair(_label_k(lam, group.k, "lambda"), mu)
 
 
 def flatten_class(mu: Iterable[tuple[int, ...]]) -> tuple[tuple[int, int], ...]:
@@ -100,9 +92,7 @@ def class_size(group: GroupData, mu: MultiPartition) -> int:
     |class| = |G|^n n! / prod_{i,l} ( (l * z_i)^{m_il} * m_il! )  where m_il
     is the multiplicity of part l in component i; the division is exact.
     """
-    mu = _label(MultiPartition, mu)
-    if mu.k != group.k:
-        raise ValueError(f"class label needs k={group.k} components")
+    mu = _label_k(mu, group.k, "class label")
     n = mu.total
     denom = 1
     for i, comp in enumerate(mu):
@@ -316,12 +306,8 @@ def character_column(group: GroupData, n: int, mu: MultiPartition) -> list[int]:
     part tuples) of the table: group.k components that sum to n.
     """
     k = group.k
-    _check_int("n", n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    mu = _label(MultiPartition, mu)
-    if mu.k != k:
-        raise ValueError(f"class label needs k={k} components, got {mu.k}")
+    _check_int("n", n, 0)
+    mu = _label_k(mu, k, "class label")
     if mu.total != n:
         raise ValueError(f"class label {mu} does not have total {n}")
     table = group.table
@@ -497,9 +483,7 @@ def perm_multiplicity(lam: MultiPartition, eta: MultiPartition) -> int:
 
 def dimension(group: GroupData, lam: MultiPartition) -> int:
     """dim V^lambda = n!/(a_1! ... a_k!) * prod f^{lambda_i} * prod deg_i^{a_i}."""
-    lam = _label(MultiPartition, lam)
-    if lam.k != group.k:
-        raise ValueError(f"label needs k={group.k} components")
+    lam = _label_k(lam, group.k, "lambda")
     degrees = group.degrees()
     out = factorial(lam.total)
     for i, comp in enumerate(lam):
@@ -559,10 +543,9 @@ def character_table(
 ) -> CharTable:
     """All p_k(n)^2 entries, columns computed independently (order-deterministic
     regardless of worker schedule); refuses when the cell count exceeds budget."""
-    _check_int("n", n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    _check_workers(workers)
+    _check_int("n", n, 0)
+    _check_int("workers", workers, 1)
+    _check_int("cell_budget", cell_budget)
     # p_k(n) >= p(n) >= n, the n hooks being distinct partitions, so a table
     # with n^2 cells over the budget is refused before anything is counted
     if n * n > cell_budget:

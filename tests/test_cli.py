@@ -110,6 +110,13 @@ class TestTable:
         assert code == EXIT_BUDGET
         assert "budget" in err
 
+    @pytest.mark.parametrize("argv", [("table", "--group", "Z2", "--n", "1"), ("dn-census", "--n", "1", "--p", "2")])
+    def test_negative_budget_exits_3(self, capsys, argv):
+        # a budget has no lower bound: below every cell count, it refuses the table
+        code, out, err = run(capsys, *argv, "--budget", "-1")
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err.endswith("budget is -1\n")
+
 
 class TestMashEquiv:
     def test_mash_merge_chain(self, capsys):
@@ -222,6 +229,12 @@ class TestCensuses:
         assert code == EXIT_OK
         assert json.loads(out)["proportion"] == "1/5"
 
+    @pytest.mark.parametrize("delta", ["abc", "nan", "inf", "1/0", "0", "1"])
+    def test_bad_delta_exits_2(self, capsys, delta):
+        code, out, err = run(capsys, "concentration", "--k", "2", "--n", "4", "--delta", delta)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: delta must be a number in (0, 1), got {delta!r}\n"
+
     def test_dn_census(self, capsys):
         code, out, _ = run(capsys, "dn-census", "--n", "4", "--p", "2")
         assert code == EXIT_OK
@@ -259,7 +272,9 @@ class TestCensuses:
         assert doc["seed"] == doc["config"]["seed"] == 2**64 - 1
 
     @pytest.mark.parametrize(
-        "bad, message", [(("--p", "4"), "p = 4 is not prime"), (("--samples", "0"), "samples must be >= 1")]
+        "bad, message",
+        [(("--p", "4"), "p = 4 is not prime"), (("--samples", "0"), "samples must be >= 1, got 0")],
+        ids=["bad0-p = 4 is not prime", "bad1-samples must be >= 1"],
     )
     @pytest.mark.parametrize("argv", SAMPLED_ARGV)
     def test_bad_p_or_samples_exits_2(self, capsys, argv, bad, message):
@@ -291,7 +306,7 @@ class TestCensuses:
         )
         assert code == EXIT_USAGE
         assert out == ""
-        assert err == "error: samples must be >= 1\n"
+        assert err == f"error: samples must be >= 1, got {samples}\n"
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     @pytest.mark.parametrize(

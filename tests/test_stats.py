@@ -256,7 +256,7 @@ class TestSampledArguments:
     @pytest.mark.parametrize("census", SAMPLED_CENSUSES)
     @pytest.mark.parametrize("samples", [0, -3])
     def test_samples_below_one(self, census, samples):
-        with pytest.raises(ValueError, match=r"^samples must be >= 1$"):
+        with pytest.raises(ValueError, match=rf"^samples must be >= 1, got {samples}$"):
             SAMPLED_CENSUSES[census](samples, 1)
 
     @pytest.mark.parametrize("census", SAMPLED_CENSUSES)
@@ -309,6 +309,8 @@ NON_INTEGER_CALLS = {
     "dn-exact n": (lambda: dn_restricted_census(True, 2, cell_budget=0), "n", True),
     "dn-sampled n": (lambda: dn_restricted_census(6.0, 2, "sampled", 3, 1), "n", 6.0),
     "dn p": (lambda: dn_restricted_census(6, 3.0), "p", 3.0),
+    "exact cell_budget": (lambda: exact_census(Z2, 2, 2, cell_budget=2.5), "cell_budget", 2.5),
+    "dn-exact cell_budget": (lambda: dn_restricted_census(4, 2, cell_budget=True), "cell_budget", True),
 }
 
 
@@ -396,6 +398,12 @@ class TestConcentration:
             concentration_check(2, 10, 0)
         with pytest.raises(ValueError):
             concentration_check(2, 10, 1)
+
+    @pytest.mark.parametrize("delta", ["abc", float("nan"), float("inf"), True, "1/0", -0.5, Fraction(3, 2)])
+    def test_names_a_bad_delta(self, delta):
+        want = rf"^delta must be a number in \(0, 1\), got {re.escape(repr(delta))}$"
+        with pytest.raises(ValueError, match=want):
+            concentration_check(2, 10, delta)
 
 
 class TestReportShape:

@@ -327,6 +327,11 @@ class TestCharacterTable:
         with pytest.raises(ValueError, match=rf"^n must be an integer, got {n!r}$"):
             character_table(Z2, n, cell_budget=0)
 
+    @pytest.mark.parametrize("budget", [True, 2.5, "100"])
+    def test_rejects_non_integer_budget(self, budget):
+        with pytest.raises(ValueError, match=rf"^cell_budget must be an integer, got {budget!r}$"):
+            character_table(Z2, 2, cell_budget=budget)
+
     def test_z2_n2_degrees(self):
         t = character_table(Z2, 2)
         identity = t.col_labels.index(MultiPartition([[1, 1], []]))
