@@ -24,6 +24,7 @@ import operator
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
+from numbers import Real
 from statistics import NormalDist
 from typing import NamedTuple, Optional
 
@@ -265,8 +266,10 @@ def _sampled_census(
     _check_int("group_k", group_k, 1)
     _check_int("samples", samples, 1)
     _check_key("seed", seed)
-    if confidence is not None and not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    if confidence is not None and not (
+        isinstance(confidence, Real) and not isinstance(confidence, bool) and 0.0 < confidence < 1.0
+    ):
+        raise ValueError(f"confidence must be a number in (0, 1), got {confidence!r}")
     _check_int("workers", workers, 1)
     _completion_tables(n, group_k)  # built before any fork, shared by workers
     hits = sum(_pool_map(partial(_hit, partial(draw, seed), test), range(samples), workers))

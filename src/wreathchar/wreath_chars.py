@@ -19,6 +19,12 @@ built on the representatives.  ``_columns`` is the one column loop: it maps
 censuses' pool) and owns those levels, which it drops when its columns are
 done or one fails.  ``_pool_map`` imports ``concurrent.futures`` only when it
 starts two or more processes, so a serial run never loads the pool machinery.
+``character_table`` uses two more symmetries.  A central z of G makes the
+diagonal (z, ..., z) central, and it multiplies column mu by +-1 on every
+row and takes it to column z mu, so only the least label of each orbit of
+the centre goes to ``character_column``.  Of each column it keeps only the
+values on the level's representatives, and it builds every row from its
+representative's values by the sign rule of ``_Level.fill``.
 Permutation-module values come from an independent row-decomposition DP.
 The two are linked by Kostka-product multiplicities, which the acceptance
 suite checks cell by cell.
@@ -34,7 +40,7 @@ import os
 from collections import Counter
 from functools import lru_cache, partial
 from math import factorial
-from operator import itemgetter, mul
+from operator import itemgetter, mul, neg
 from typing import Iterable, NamedTuple
 
 from .base_group import GroupData
@@ -95,10 +101,13 @@ def class_size(group: GroupData, mu: MultiPartition) -> int:
     mu = _label_k(mu, group.k, "class label")
     n = mu.total
     denom = 1
-    for i, comp in enumerate(mu):
-        z = group.centralizer_orders[i]
-        for length, m in Counter(comp).items():
-            denom *= (length * z) ** m * factorial(m)
+    for z, comp in zip(group.centralizer_orders, mu):
+        # the r-th of a run of equal parts l contributes l * z * r: the run of
+        # m gives (l z)^m m!
+        r = 0
+        for i, length in enumerate(comp):
+            r = r + 1 if i and length == comp[i - 1] else 1
+            denom *= length * z * r
     num = group.order**n * factorial(n)
     if num % denom:
         raise ValueError(f"class {mu} has non-integral size {num}/{denom}: bad centralizer orders")
@@ -189,27 +198,37 @@ class _Level(NamedTuple):
     index: dict  # per row's component beta-set masks: its position, in canonical order
     symmetries: tuple  # per map s: (theta's values on the classes, e)
     reps: tuple  # the representative rows, ascending
+    orbits: tuple  # per representative: the rows of its orbit, ascending
     slot: tuple  # per row: the position of its representative in reps
     sym: tuple  # per row: the map s that takes its representative to it
     getters: dict  # the fill of each parity pattern
     steps: dict  # representative-only peel steps, per length
 
-    def fill(self, rep_values: list, odd: tuple) -> list[int]:
+    def negated(self, odd: tuple) -> list[int]:
+        """Per map s: 1 if Theta_s is -1 at a class nu of m with
+        odd[j] = l(nu_j) mod 2, else 0."""
+        # Theta_s(nu) = prod_j theta(c_j)^l(nu_j) * (-1)^(e (m - l(nu)))
+        return [
+            (sum(o for o, t in zip(odd, theta) if t < 0) + e * (self.m - sum(odd))) & 1
+            for theta, e in self.symmetries
+        ]
+
+    def fill(self, rep_values: list, odd: tuple):
         """The values on every row from those on the representatives, at a
-        class nu with odd[j] = l(nu_j) mod 2: one gather over rep_values and
-        their negations."""
+        class nu with odd[j] = l(nu_j) mod 2, as a sequence: one gather over
+        rep_values and their negations."""
         getter = self.getters.get(odd)
         if getter is None:
-            # Theta_s(nu) = prod_j theta(c_j)^l(nu_j) * (-1)^(e (m - l(nu)))
-            negated = [
-                (sum(o for o, t in zip(odd, theta) if t < 0) + e * (self.m - sum(odd))) & 1
-                for theta, e in self.symmetries
-            ]
+            negated = self.negated(odd)
             width = len(self.reps)
-            at = [slot + width * negated[s] for slot, s in zip(self.slot, self.sym)]
-            # itemgetter of one index returns the item itself, not a 1-tuple
-            getter = self.getters[odd] = itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1))
-        return list(getter(rep_values + [-v for v in rep_values]))
+            getter = self.getters[odd] = _gather([slot + width * negated[s] for slot, s in zip(self.slot, self.sym)])
+        return getter([*rep_values, *map(neg, rep_values)])
+
+
+def _gather(at: list):
+    """itemgetter(*at), except that one index also gives a sequence."""
+    # itemgetter of one index returns the item itself, not a 1-sequence
+    return itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1))
 
 
 def _level(levels: dict, m: int, group: GroupData) -> _Level:
@@ -222,32 +241,32 @@ def _level(levels: dict, m: int, group: GroupData) -> _Level:
     rows = [tuple(map(_beta_mask, mp)) for mp in _multipartition_tuples(m, k)]
     index = {masks: i for i, masks in enumerate(rows)}
     conjugate = {mask: _conjugate_mask(mask) for mask in set().union(*rows)}
+    conjugated = [tuple(map(conjugate.__getitem__, masks)) for masks in rows]
     row_of = {row: q for q, row in enumerate(table)}
     symmetries = []
     images = []
     for theta in table:
         if theta[group.identity_class] != 1:
             continue
-        # a validated table holds theta * table[q] for every linear theta
-        to = [row_of[tuple(map(mul, theta, row))] for row in table]
-        for e in (0, 1):
+        # a validated table holds theta * table[q] for every linear theta;
+        # theta^2 = 1, so component q's move to row to[q] is its own inverse
+        pick = _gather([row_of[tuple(map(mul, theta, row))] for row in table])
+        for e, source in enumerate((rows, conjugated)):
             symmetries.append((theta, e))
-            image = []
-            for masks in rows:
-                moved = [0] * k
-                for q, mask in enumerate(masks):
-                    moved[to[q]] = conjugate[mask] if e else mask
-                image.append(index[tuple(moved)])
-            images.append(image)
+            images.append([index[pick(masks)] for masks in source])
     # per row: the least row of its orbit and the map that takes the row there
     least = [min(zip(orbit, range(len(images)))) for orbit in zip(*images)]
     reps = sorted({rep for rep, _ in least})
     position = {rep: i for i, rep in enumerate(reps)}
+    orbits = [[] for _ in reps]
+    for row, (rep, _) in enumerate(least):
+        orbits[position[rep]].append(row)
     level = levels[m] = _Level(
         m=m,
         index=index,
         symmetries=tuple(symmetries),
         reps=tuple(reps),
+        orbits=tuple(map(tuple, orbits)),
         slot=tuple(position[rep] for rep, _ in least),
         sym=tuple(s for _, s in least),
         getters={},
@@ -258,17 +277,17 @@ def _level(levels: dict, m: int, group: GroupData) -> _Level:
 
 def _peel_step(levels: dict, remaining: int, length: int, group: GroupData) -> tuple:
     """One entry per representative of level ``remaining``, in the order of
-    its ``reps``: the moves (q, index of the remainder among the
-    multipartitions of remaining - length, (-1)^height), one per border strip
-    of ``length`` that ``_strips`` finds on the mask of component q.  Kept in
-    the level's ``steps``."""
+    its ``reps``: the moves (2 q + height mod 2, index of the remainder
+    among the multipartitions of remaining - length), one per border strip of
+    ``length`` that ``_strips`` finds on the mask of component q.  Kept in the
+    level's ``steps``."""
     level = _level(levels, remaining, group)
     step = level.steps.get(length)
     if step is None:
         index = _level(levels, remaining - length, group).index
         rows = list(level.index)
         # entries that make the same move share one tuple: the 48 steps of
-        # Z2 n=12 hold 1.1 MiB (tracemalloc) instead of 1.8
+        # Z2 n=12 hold 0.33 MiB (tracemalloc) instead of 0.45
         shared: dict = {}
         # one component mask recurs in many multipartitions; peel it once.
         # A strip may empty rows: their beads are the trailing one bits, and
@@ -281,11 +300,11 @@ def _peel_step(levels: dict, remaining: int, length: int, group: GroupData) -> t
                 strips = peeled.get(mask)
                 if strips is None:
                     strips = peeled[mask] = [
-                        (moved >> ((moved ^ (moved + 1)).bit_length() - 1), -1 if height & 1 else 1)
+                        (moved >> ((moved ^ (moved + 1)).bit_length() - 1), height & 1)
                         for moved, height in _strips(mask, length)
                     ]
-                for moved, sign in strips:
-                    move = (q, index[masks[:q] + (moved,) + masks[q + 1 :]], sign)
+                for moved, odd in strips:
+                    move = (2 * q + odd, index[masks[:q] + (moved,) + masks[q + 1 :]])
                     entry.append(shared.setdefault(move, move))
             entries.append(tuple(entry))
         step = level.steps[length] = tuple(entries)
@@ -318,17 +337,18 @@ def character_column(group: GroupData, n: int, mu: MultiPartition) -> list[int]:
     for length, j in reversed(flatten_class(mu)):
         remaining += length
         odd[j] ^= 1
-        factors = [table[q][j] for q in range(k)]
+        # per move (2 q + height mod 2): table[q][j] (-1)^height
+        factors = [f for row in table for f in (row[j], -row[j])]
         reps = []
         for moves in _peel_step(levels, remaining, length, group):
             acc = 0
-            for q, target, sign in moves:
+            for m, target in moves:
                 sub = values[target]
                 if sub:
-                    acc += sign * factors[q] * sub
+                    acc += factors[m] * sub
             reps.append(acc)
         values = levels[remaining].fill(reps, tuple(odd))
-    return values
+    return list(values)
 
 
 def _pool_map(fn, items, workers: int):
@@ -535,14 +555,109 @@ def _csv_label(lab: MultiPartition) -> str:
     return f'"{text}"' if "," in text else text
 
 
+def _centre(group: GroupData) -> list[tuple[tuple, tuple]]:
+    """Per central class z of G, the identity first: the class of z x for x
+    in each class j, and the rows q with psi_q(z) = -deg_q.
+
+    z is central when its centralizer is all of G.  psi_q(z) is then
+    omega_q deg_q with omega_q a root of unity, so +-1 on an integer table:
+    z^2 = 1, and z x lies in the class whose column is omega times column j.
+    """
+    columns = list(zip(*group.table))
+    column_of = {col: j for j, col in enumerate(columns)}
+    degrees = columns[group.identity_class]
+    central = [z for z, c in enumerate(group.centralizer_orders) if c == group.order]
+    central.sort(key=lambda z: z != group.identity_class)
+    out = []
+    for z in central:
+        omega = [v // d for v, d in zip(columns[z], degrees)]
+        moves = tuple(column_of[tuple(map(mul, omega, col))] for col in columns)
+        out.append((moves, tuple(q for q, w in enumerate(omega) if w < 0)))
+    return out
+
+
+def _central_image(mu: MultiPartition, moves: tuple) -> tuple:
+    """The class of (z, ..., z) g for g in the class mu: a cycle of length l
+    multiplies its cycle product by z^l, so the odd parts of component j move
+    to component moves[j] and the even parts stay."""
+    comps = [[part for part in comp if not part & 1] for comp in mu]
+    for j, comp in enumerate(mu):
+        comps[moves[j]] += [part for part in comp if part & 1]
+    return tuple(tuple(sorted(comp, reverse=True)) for comp in comps)
+
+
+def _twins(centre: list, labels: tuple) -> list[tuple[int, int]]:
+    """Per label: (the position of the least label of its orbit under the
+    centre, the position in centre of the z that takes that label to it)."""
+    position = {mu: c for c, mu in enumerate(labels)}
+    return [
+        min([(c, 0)] + [(position[_central_image(mu, moves)], z) for z, (moves, _) in enumerate(centre[1:], 1)])
+        for c, mu in enumerate(labels)
+    ]
+
+
+def _rows(level: _Level, labels: tuple, centre: list, twins: list, by_rep: list) -> tuple:
+    """The table's rows from by_rep, the values of each representative row on
+    the computed columns (the least of each centre orbit), freed as each
+    orbit's rows are built.
+
+    chi^row(mu) = Theta_s(mu) omega_rep(z) chi^rep(source), where s takes
+    the representative to the row and z the source column to mu, and
+    omega_rep(z) = prod_q omega_q(z)^|rep_q|.  Each (s, omega_rep) pair is
+    one gather over the representative's values and their negations.
+    """
+    size = len(labels)
+    where = {source: i for i, source in enumerate(sorted({source for source, _ in twins}))}
+    width = len(where)
+    odd = [tuple(map((1).__and__, map(len, mu))) for mu in labels]
+    negated = {o: level.negated(o) for o in set(odd)}
+    columns = [(where[source], negated[o], z) for (source, z), o in zip(twins, odd)]
+    plans: dict = {}  # per (s, omega's signs): the gather, or None for the identity, and whether it negates
+
+    def plan(s, flips):
+        got = plans.get((s, flips))
+        if got is None:
+            at = [i + width * (signs[s] ^ flips[z]) for i, signs, z in columns]
+            identity = width == size and max(at) < width
+            got = plans[s, flips] = (None if identity else _gather(at), max(at) >= width)
+        return got
+
+    rows = [None] * size
+    # one source list for every orbit: a new 2 * width tuple per orbit left
+    # the heap too fragmented to reuse, +0.2 MiB peak RSS on table --group S3
+    # --n 7 --format csv
+    source = [0] * (2 * width)
+    for slot, (rep, orbit) in enumerate(zip(level.reps, level.orbits)):
+        # per z of the centre: 1 if omega_rep(z) = -1
+        flips = tuple(sum(labels[rep][q].size for q in negs) & 1 for _, negs in centre)
+        gathers = [plan(level.sym[row], flips) for row in orbit]
+        values = by_rep[slot]
+        by_rep[slot] = None
+        source[:width] = values
+        if any(negates for _, negates in gathers):
+            source[width:] = map(neg, values)
+        for row, (gather, _) in zip(orbit, gathers):
+            rows[row] = values if gather is None else gather(source)
+    return tuple(rows)
+
+
 def character_table(
     group: GroupData,
     n: int,
     cell_budget: int = DEFAULT_CELL_BUDGET,
     workers: int = 1,
 ) -> CharTable:
-    """All p_k(n)^2 entries, columns computed independently (order-deterministic
-    regardless of worker schedule); refuses when the cell count exceeds budget."""
+    """All p_k(n)^2 entries (order-deterministic regardless of worker
+    schedule); refuses when the cell count exceeds budget.
+
+    Two symmetries of the table cut the work.  A central z of G gives the
+    central (z, ..., z), and chi^lambda(z mu) = omega_lambda(z) chi^lambda(mu)
+    with omega_lambda(z) = +-1, so ``character_column`` runs only on the
+    least label of each orbit of the centre, and the other columns are sign
+    copies.  Only the values on the row representatives (``_Level``) are
+    kept, and each row is built from its representative's values by the
+    sign rule of ``_Level.fill``.
+    """
     _check_int("n", n, 0)
     _check_int("workers", workers, 1)
     _check_int("cell_budget", cell_budget)
@@ -556,10 +671,19 @@ def character_table(
             f"table needs {size}^2 = {size * size} cells, budget is {cell_budget}"
         )
     labels = multipartitions_of(n, group.k)
-    # the rows are assembled only after the step tables are gone, so the
+    try:
+        centre = _centre(group)
+        twins = _twins(centre, labels)
+        computed = [labels[c] for c, (source, _) in enumerate(twins) if source == c]
+        # the serial columns build their own level n into the same tables
+        level = _level(_step_tables(n, group.table), n, group)
+        by_rep = list(zip(*map(_gather(level.reps), _columns(group, n, computed, workers))))
+    finally:
+        _step_tables.cache_clear()
+    # the rows are built once the peel steps are gone, level n's too, so the
     # peak memory holds one or the other
-    columns = list(_columns(group, n, labels, workers))
-    values = tuple(zip(*columns))
+    level.steps.clear()
+    values = _rows(level, labels, centre, twins, by_rep)
     sizes = tuple(class_size(group, mu) for mu in labels)
     return CharTable(
         group=group,

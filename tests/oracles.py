@@ -120,6 +120,43 @@ def twist_sign(theta, e, mu):
     return sign
 
 
+def central_classes(centralizer_orders, identity):
+    """The classes z != 1 of G that are central: z commutes with all of G,
+    so its centralizer order is |G|, the centralizer order of the identity."""
+    return [z for z, c in enumerate(centralizer_orders) if z != identity and c == centralizer_orders[identity]]
+
+
+def central_image(table, identity, z, mu):
+    """The class of (z, ..., z) g for g in the class mu, with z central in G.
+
+    z acts on the irreducible q as the scalar psi_q(z) / deg_q, so z x lies
+    in the class whose column is that scalar times the column of x; it is
+    found by comparing whole columns.  A cycle of length l multiplies its
+    cycle product by z^l, and z^2 = 1, so only the odd parts move."""
+    k = len(table)
+    columns = [[table[q][j] for q in range(k)] for j in range(k)]
+    moved = []
+    for j in range(k):
+        want = [table[q][z] * table[q][j] // table[q][identity] for q in range(k)]
+        matches = [i for i in range(k) if columns[i] == want]
+        assert len(matches) == 1, (z, j, matches)
+        moved.append(matches[0])
+    out = [[] for _ in range(k)]
+    for j, comp in enumerate(mu):
+        for part in comp:
+            out[moved[j] if part % 2 else j].append(part)
+    return tuple(tuple(sorted(comp, reverse=True)) for comp in out)
+
+
+def central_character(table, identity, z, lam):
+    """omega_lambda(z) = prod_q (psi_q(z) / deg_q)^|lambda_q|, the scalar by
+    which the central (z, ..., z) acts on the irreducible lambda."""
+    out = 1
+    for q, comp in enumerate(lam):
+        out *= (table[q][z] // table[q][identity]) ** sum(comp)
+    return out
+
+
 def component_major_sequence(mu):
     """The (length, class) pairs of mu component by component, longest part
     first within each component: a fixed peel order for brute_mn_value that

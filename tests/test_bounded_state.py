@@ -8,6 +8,8 @@ fills the ``_strip_removals`` cache of ``remove_rimhooks``, and that cache
 has a fixed bound.
 """
 
+import tracemalloc
+
 from wreathchar.base_group import builtin
 from wreathchar.partitions import (
     MultiPartition,
@@ -66,6 +68,20 @@ def test_orbits_of_the_latest_table_only():
         assert all(isinstance(level, _Level) for level in levels.values())
     assert len(list(_columns(g, n, labels[:5]))) == 5
     assert _step_tables.cache_info().currsize == 0
+
+
+def test_exact_census_peak_memory():
+    # the table keeps only the representative rows of each computed column
+    # until its rows are built: 2.5 MiB here, 4.2 MiB when it held every
+    # full column and every row at once
+    multipartitions_of(10, 2)
+    tracemalloc.start()
+    try:
+        exact_census(builtin("Z2"), 10, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2**20
 
 
 def test_rimhook_removals_stay_within_the_cache_bound():

@@ -296,7 +296,7 @@ class TestCensuses:
         code, out, err = run(capsys, *argv, "--confidence", confidence)
         assert code == EXIT_USAGE
         assert out == ""
-        assert err == f"error: confidence must be in (0, 1), got {float(confidence)}\n"
+        assert err == f"error: confidence must be a number in (0, 1), got {float(confidence)!r}\n"
 
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_dn_sampled_bad_samples_exits_2(self, capsys, samples):

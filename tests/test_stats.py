@@ -266,6 +266,20 @@ class TestSampledArguments:
         with pytest.raises(ValueError, match=want):
             SAMPLED_CENSUSES[census](3, seed)
 
+    @pytest.mark.parametrize("confidence", ["0.5", "x", True, 0, 1, 1.5])
+    @pytest.mark.parametrize(
+        "census",
+        [
+            lambda confidence: sampled_census(Z2, 4, 2, 3, 1, confidence=confidence),
+            lambda confidence: dn_restricted_census(4, 2, "sampled", 3, 1, confidence=confidence),
+        ],
+        ids=["sampled", "dn-sampled"],
+    )
+    def test_confidence_must_be_a_number_in_the_open_unit_interval(self, census, confidence):
+        want = rf"^confidence must be a number in \(0, 1\), got {re.escape(repr(confidence))}$"
+        with pytest.raises(ValueError, match=want):
+            census(confidence)
+
     @pytest.mark.parametrize("census", SAMPLED_CENSUSES)
     def test_int_arguments_report_as_given(self, census):
         report = SAMPLED_CENSUSES[census](3, 2**64 - 1)

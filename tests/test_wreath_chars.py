@@ -394,6 +394,35 @@ class TestCharacterTable:
         assert len(calls) == 2
         assert _step_tables.cache_info().currsize == 0
 
+    @pytest.mark.parametrize("stage", ["_centre", "character_column", "_rows"])
+    def test_step_tables_dropped_when_a_stage_fails(self, monkeypatch, stage):
+        # the levels a standalone column left behind go too
+        character_column(Z2, 4, ((1,) * 4, ()))
+        assert _step_tables.cache_info().currsize == 1
+        real = getattr(wreath_chars, stage)
+        calls = []
+
+        def fail_second(*args):
+            calls.append(args)
+            if len(calls) == (2 if stage == "character_column" else 1):
+                raise RuntimeError(f"{stage} failed")
+            return real(*args)
+
+        monkeypatch.setattr(wreath_chars, stage, fail_second)
+        with pytest.raises(RuntimeError, match=f"{stage} failed"):
+            character_table(Z2, 4)
+        assert _step_tables.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_columns_match_character_column(self, name, workers):
+        g = builtin(name)
+        for n in range(COLUMN_ORACLE_N[name] + 1):
+            t = character_table(g, n, workers=workers)
+            assert type(t.values) is tuple and all(type(row) is tuple for row in t.values)
+            for c, mu in enumerate(t.col_labels):
+                assert [row[c] for row in t.values] == character_column(g, n, mu), (n, mu)
+
     def test_orthogonality_small(self):
         # k = 3 goes up to n = 4; the k <= 2 sweep to n = 5 is in acceptance
         for g, n in ((Z2, 3), (S3, 2), (S3, 4)):
@@ -448,6 +477,70 @@ class TestCharacterTable:
 COLUMN_ORACLE_N = {"trivial": 8, "Z2": 6, "S3": 4, "Z2xZ2": 3, "D8": 3, "Q8": 3, "S4": 3}
 
 
+def centre_orbit_reps(g, n):
+    """The least label of each orbit of the centre on the classes of n, by
+    the table-column oracle."""
+    labels = multipartitions_of(n, g.k)
+    zs = oracles.central_classes(g.centralizer_orders, g.identity_class)
+    return sorted(
+        {min([c] + [labels.index(oracles.central_image(g.table, g.identity_class, z, mu)) for z in zs])
+         for c, mu in enumerate(labels)}
+    )
+
+
+class TestCentre:
+    """The central (z, ..., z) multiplies column mu by omega_lambda(z) = +-1
+    and takes it to column z mu; the table computes one column per orbit."""
+
+    @pytest.mark.parametrize("name, top", [("Z2", 6), ("Z2xZ2", 4), ("D8", 3), ("Q8", 3)])
+    def test_sign_law(self, name, top):
+        g = builtin(name)
+        zs = oracles.central_classes(g.centralizer_orders, g.identity_class)
+        assert zs
+        for n in range(top + 1):
+            labels = mps(n, g.k)
+            for z in zs:
+                for mu in labels:
+                    nu = oracles.central_image(g.table, g.identity_class, z, mu)
+                    for lam in labels:
+                        omega = oracles.central_character(g.table, g.identity_class, z, lam)
+                        assert omega in (1, -1)
+                        assert mn_character(g, lam, nu) == omega * mn_character(g, lam, mu), (z, lam, mu)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_centre_matches_the_oracle(self, name):
+        g = builtin(name)
+        centre = wreath_chars._centre(g)
+        zs = oracles.central_classes(g.centralizer_orders, g.identity_class)
+        assert len(centre) == 1 + len(zs)
+        for n in range(5 if g.k < 4 else 4):
+            labels = multipartitions_of(n, g.k)
+            for mu in labels:
+                images = {oracles.central_image(g.table, g.identity_class, z, mu) for z in zs} | {mu}
+                assert {wreath_chars._central_image(mu, moves) for moves, _ in centre} == images
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_one_column_per_centre_orbit(self, monkeypatch, name):
+        g = builtin(name)
+        real = wreath_chars.character_column
+        asked = []
+        monkeypatch.setattr(wreath_chars, "character_column", lambda *args: asked.append(args[2]) or real(*args))
+        n = 4 if g.k < 4 else 3
+        character_table(g, n)
+        labels = multipartitions_of(n, g.k)
+        assert asked == [labels[c] for c in centre_orbit_reps(g, n)]
+        if len(wreath_chars._centre(g)) == 1:  # no centre: every column is computed
+            assert len(asked) == len(labels)
+
+    def test_z2_n10_computes_282_of_481_columns(self, monkeypatch):
+        real = wreath_chars.character_column
+        calls = []
+        monkeypatch.setattr(wreath_chars, "character_column", lambda *args: calls.append(1) or real(*args))
+        t = character_table(Z2, 10)
+        assert (len(calls), len(t.col_labels)) == (282, 481)
+        assert len(centre_orbit_reps(Z2, 10)) == 282
+
+
 class TestCharacterColumn:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_matches_mn_character(self, name):
@@ -467,9 +560,12 @@ class TestCharacterColumn:
         for remaining in range(1, top + 1):
             sources = [labels[remaining][i] for i in _level(levels, remaining, g).reps]
             for length in range(1, remaining + 1):
-                got = _peel_step(levels, remaining, length, g)
+                got = [
+                    Counter((m >> 1, target, -1 if m & 1 else 1) for m, target in moves)
+                    for moves in _peel_step(levels, remaining, length, g)
+                ]
                 want = oracles.brute_peel_step(sources, labels[remaining - length], length)
-                assert [Counter(moves) for moves in got] == want, (remaining, length)
+                assert got == want, (remaining, length)
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_orbits_match_twisted_labels(self, name):
@@ -480,6 +576,10 @@ class TestCharacterColumn:
             labels = multipartitions_of(m, g.k)
             level = _level({}, m, g)
             assert [level.index[tuple(map(_beta_mask, mp))] for mp in labels] == list(range(len(labels)))
+            assert [sorted(orbit) for orbit in level.orbits] == [
+                [row for row, slot in enumerate(level.slot) if slot == i] for i in range(len(level.reps))
+            ]
+            assert [orbit[0] for orbit in level.orbits] == list(level.reps)
             for row, (slot, s) in enumerate(zip(level.slot, level.sym)):
                 rep = level.reps[slot]
                 theta, e = level.symmetries[s]
