@@ -7,6 +7,10 @@ worker count and evaluation order.  Sampled and certificate censuses draw
 identical (lambda, mu) streams for equal (n, seed), which makes seed-paired
 soundness comparisons exact.
 
+The exact census builds the full table, then reduces mod p only one row per
+orbit of the linear characters (``wreath_chars._Level``), weighted by the
+orbit's size: every row of an orbit is +-1 times its representative.
+
 Every sampled census, type D included, is one call to ``_sampled_census``,
 which checks its inputs, counts its hits and builds its report.
 
@@ -39,7 +43,7 @@ from .partitions import (
     count_multipartitions,
     unrank_multipartition,
 )
-from .wreath_chars import DEFAULT_CELL_BUDGET, _pool_map, character_table, mn_character
+from .wreath_chars import DEFAULT_CELL_BUDGET, _level, _pool_map, character_table, mn_character
 
 HR_COEFF = 2.0 * math.pi / math.sqrt(6.0)
 DEFAULT_CONFIDENCE = 0.99
@@ -204,11 +208,20 @@ def exact_census(
     cell_budget: int = DEFAULT_CELL_BUDGET,
     workers: int = 1,
 ) -> CensusReport:
-    """Build the full table and count entries divisible by p (exact rational)."""
+    """Build the full table and count its entries divisible by p (exact
+    rational), each orbit of rows under the linear characters once.
+
+    A row of an orbit is Theta chi^rep with Theta = +-1, so it has its
+    representative's zeros mod p in every column: the count reduces only the
+    representative rows, each weighted by the size of its orbit.
+    """
     require_prime(p)
     table = character_table(group, n, cell_budget=cell_budget, workers=workers)
-    cells = sum(map(len, table.values))
-    divisible = sum(_zeros_mod(row, p) for row in table.values)
+    level = _level({}, n, group)
+    cells = len(table.row_labels) ** 2
+    divisible = sum(
+        len(orbit) * _zeros_mod(table.values[rep], p) for rep, orbit in zip(level.reps, level.orbits)
+    )
     return CensusReport(
         mode="exact",
         group=group.name,

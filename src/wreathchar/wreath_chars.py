@@ -680,9 +680,10 @@ def character_table(
         by_rep = list(zip(*map(_gather(level.reps), _columns(group, n, computed, workers))))
     finally:
         _step_tables.cache_clear()
-    # the rows are built once the peel steps are gone, level n's too, so the
-    # peak memory holds one or the other
+    # the rows are built once the peel steps and fill getters are gone, level
+    # n's too, so the peak memory holds one or the other
     level.steps.clear()
+    level.getters.clear()
     values = _rows(level, labels, centre, twins, by_rep)
     sizes = tuple(class_size(group, mu) for mu in labels)
     return CharTable(

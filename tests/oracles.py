@@ -5,11 +5,11 @@ unmemoized recursion for characters and for window counts, exhaustive
 assignment enumeration for row decompositions, backtracking for tableaux,
 entry-at-a-time completion tables with the top-down unranking walk, and one
 ``csv.writer`` row per cell for the table CSV.  None of it shares code with
-the package internals beyond plain tuples, except ``unreduced_dn_census``,
-which checks a reduction of the type-D census rather than the character
-engine and so reads its columns from that engine, and ``twisted_label``,
-which conjugates with the public ``Partition.conjugate`` (cell counting, not
-the engine's beta-set masks).
+the package internals beyond plain tuples, except ``unreduced_dn_census``
+and ``full_table_census``, which check reductions of the censuses rather
+than the character engine and so read their values from that engine, and
+``twisted_label``, which conjugates with the public ``Partition.conjugate``
+(cell counting, not the engine's beta-set masks).
 """
 
 from __future__ import annotations
@@ -320,6 +320,15 @@ def multinomial(ns):
     for a in ns:
         out //= factorial(a)
     return out
+
+
+def full_table_census(group, n, p):
+    """The exact census without the row-orbit reduction: every cell of
+    ``character_table`` read.  Returns (divisible cells, cells)."""
+    from wreathchar.wreath_chars import character_table
+
+    cells = [v for row in character_table(group, n).values for v in row]
+    return sum(v % p == 0 for v in cells), len(cells)
 
 
 def unreduced_dn_census(n, primes):

@@ -10,6 +10,7 @@ has a fixed bound.
 
 import tracemalloc
 
+from wreathchar import wreath_chars
 from wreathchar.base_group import builtin
 from wreathchar.partitions import (
     MultiPartition,
@@ -72,8 +73,9 @@ def test_orbits_of_the_latest_table_only():
 
 def test_exact_census_peak_memory():
     # the table keeps only the representative rows of each computed column
-    # until its rows are built: 2.5 MiB here, 4.2 MiB when it held every
-    # full column and every row at once
+    # until its rows are built, and drops level n's peel steps and fill
+    # getters first: 2.44 MiB here, 4.2 MiB when it held every full column
+    # and every row at once
     multipartitions_of(10, 2)
     tracemalloc.start()
     try:
@@ -82,6 +84,22 @@ def test_exact_census_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * 2**20
+
+
+def test_table_drops_level_n_steps_and_getters(monkeypatch):
+    # level n's fill getters index every row, and nothing reads them once
+    # the columns are in
+    seen = []
+    rows = wreath_chars._rows
+
+    def spy(level, *args):
+        seen.append(level)
+        return rows(level, *args)
+
+    monkeypatch.setattr(wreath_chars, "_rows", spy)
+    character_table(builtin("Z2"), 6)
+    [level] = seen
+    assert level.m == 6 and level.steps == {} and level.getters == {}
 
 
 def test_rimhook_removals_stay_within_the_cache_bound():

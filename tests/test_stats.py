@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from wreathchar.base_group import builtin
+from wreathchar.base_group import BUILTIN_NAMES, builtin
 from wreathchar.congruence import mash_canonical
 from wreathchar.partitions import MultiPartition, count_multipartitions, count_partitions, unrank_multipartition
 from wreathchar.stats import (
@@ -169,6 +169,20 @@ class TestExactCensus:
     def test_rejects_composite_p(self):
         with pytest.raises(ValueError):
             exact_census(Z2, 2, 4)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_equals_the_full_table_count(self, name):
+        g = builtin(name)
+        for n in range((7 if g.k <= 2 else 4) + 1):
+            for p in (2, 3, 5):
+                r = exact_census(g, n, p)
+                assert (r.divisible_count, r.cells_evaluated) == oracles.full_table_census(g, n, p), (n, p)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equals_the_full_table_count_at_any_worker_count(self, workers):
+        for p in (2, 3, 5):
+            r = exact_census(Z2, 6, p, workers=workers)
+            assert (r.divisible_count, r.cells_evaluated) == oracles.full_table_census(Z2, 6, p), p
 
 
 class TestSampledCensus:

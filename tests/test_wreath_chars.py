@@ -18,6 +18,7 @@ from wreathchar.partitions import (
     enumerate_multipartitions,
     multipartitions_of,
 )
+from wreathchar.stats import _zeros_mod
 from wreathchar.wreath_chars import (
     CellBudgetExceeded,
     character_column,
@@ -591,6 +592,20 @@ class TestCharacterColumn:
                     for f in (0, 1)
                 }
                 assert rep == min(orbit)
+
+    @pytest.mark.parametrize("name, top", [("Z2", 8), ("S3", 5)])
+    def test_orbit_rows_have_their_representative_zeros(self, name, top):
+        # a row of an orbit is +-1 times its representative, which lets
+        # exact_census count each orbit on its representative alone
+        g = builtin(name)
+        for n in range(top + 1):
+            level = _level({}, n, g)
+            assert sum(map(len, level.orbits)) == count_multipartitions(n, g.k)
+            values = character_table(g, n).values
+            for rep, orbit in zip(level.reps, level.orbits):
+                for p in (2, 3):
+                    want = _zeros_mod(values[rep], p)
+                    assert [_zeros_mod(values[row], p) for row in orbit] == [want] * len(orbit), (n, rep, p)
 
     def test_orbits_follow_the_table(self):
         # S4 and D8 both have k = 5, so their levels hold the same
