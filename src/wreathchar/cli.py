@@ -5,6 +5,11 @@ validation failure, 141 (128 + SIGPIPE) when the reader closes stdout early,
 as ``| head`` does.  Every report embeds the artifact version and the fully
 resolved run configuration (including the seed), so identical configurations
 reproduce byte-identical output at any worker count.
+
+``_emit`` is the one writer of one-row reports: each handler names its
+fields once, and ``_emit`` writes them as JSON with the configuration echo,
+or as a CSV header and one row of ``wreath_chars._csv_text`` cells.  Only the
+table, which has its own ``--out`` destination, is written by its handler.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .weyl_d import dn_restricted_census
 from .wreath_chars import (
     DEFAULT_CELL_BUDGET,
     CellBudgetExceeded,
+    _csv_text,
     character_table,
     mn_character,
     perm_character,
@@ -94,22 +100,27 @@ def _config_echo(args, **extra) -> dict:
     return cfg
 
 
-def _emit(args, payload: dict, csv_columns=None, csv_values=None):
-    if args.format == "csv" and csv_columns is not None:
+def _json_report(args, fields: dict, **extra) -> str:
+    report = {**fields, "config": _config_echo(args, **extra)}
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def _emit(args, fields: dict, csv_columns=None, csv_values=None, **extra) -> int:
+    """Write a one-row report to stdout: ``fields`` and the configuration
+    echo (with ``extra``) as JSON, or with ``--format csv`` a header and one
+    row, by default the field names and the ``_csv_text`` of each value."""
+    if args.format == "csv":
         # only the one-row CSV reports load csv; the table CSV is written directly
         import csv
 
+        if csv_columns is None:
+            csv_columns, csv_values = fields, map(_csv_text, fields.values())
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(csv_columns)
         writer.writerow(csv_values)
     else:
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _report_payload(args, report, **extra) -> dict:
-    payload = report.to_json_dict()
-    payload["config"] = _config_echo(args, **extra)
-    return payload
+        sys.stdout.write(_json_report(args, fields, **extra))
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +132,7 @@ def _cmd_entry(args) -> int:
     lam = _parse_label(args.lam)
     mu = _parse_label(args.mu)
     chi = mn_character(group, lam, mu)
-    perm = perm_character(group, lam, mu)
-    payload = {
-        "chi": str(chi),
-        "perm": str(perm),
-        "config": _config_echo(args),
-    }
-    _emit(args, payload, csv_columns=("chi", "perm"), csv_values=(str(chi), str(perm)))
-    return EXIT_OK
+    return _emit(args, {"chi": str(chi), "perm": str(perm_character(group, lam, mu))})
 
 
 def _cmd_table(args) -> int:
@@ -139,46 +143,24 @@ def _cmd_table(args) -> int:
         if args.format == "csv":
             table.write_csv(fh)
         else:
-            payload = table.to_json_dict()
-            payload["config"] = _config_echo(args)
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            fh.write(_json_report(args, table.to_json_dict()))
     return EXIT_OK
 
 
 def _cmd_mash(args) -> int:
     mu = _parse_label(args.mu)
     mashed = mash_canonical(mu, args.p)
-    payload = {
-        "canonical": mashed.canonical,
-        "largest_part": mashed.largest_part,
-        "config": _config_echo(args),
-    }
-    _emit(
-        args,
-        payload,
-        csv_columns=("canonical", "largest_part"),
-        csv_values=(json.dumps(mashed.canonical, separators=(",", ":")), str(mashed.largest_part)),
-    )
-    return EXIT_OK
+    return _emit(args, {"canonical": mashed.canonical, "largest_part": mashed.largest_part})
 
 
 def _cmd_equiv(args) -> int:
     mu = _parse_label(args.mu)
     nu = _parse_label(args.nu)
-    eq = sim_p_equivalent(mu, nu, args.p)
-    payload = {"equivalent": eq, "config": _config_echo(args)}
-    _emit(args, payload, csv_columns=("equivalent",), csv_values=(str(eq).lower(),))
-    return EXIT_OK
+    return _emit(args, {"equivalent": sim_p_equivalent(mu, nu, args.p)})
 
 
 def _census_out(args, report, **extra) -> int:
-    _emit(
-        args,
-        _report_payload(args, report, **extra),
-        csv_columns=CSV_COLUMNS,
-        csv_values=report.csv_row(),
-    )
-    return EXIT_OK
+    return _emit(args, report.to_json_dict(), CSV_COLUMNS, report.csv_row(), **extra)
 
 
 def _cmd_census(args) -> int:
@@ -211,26 +193,13 @@ def _cmd_cert_census(args) -> int:
 
 
 def _cmd_asym(args) -> int:
-    ratio = asymptotic_check(args.k, args.n)
-    payload = {"ratio": ratio, "config": _config_echo(args)}
-    _emit(args, payload, csv_columns=("ratio",), csv_values=(repr(ratio),))
-    return EXIT_OK
+    return _emit(args, {"ratio": asymptotic_check(args.k, args.n)})
 
 
 def _cmd_concentration(args) -> int:
     frac = concentration_check(args.k, args.n, args.delta)
-    payload = {
-        "proportion": f"{frac.numerator}/{frac.denominator}",
-        "proportion_decimal": float(frac),
-        "config": _config_echo(args),
-    }
-    _emit(
-        args,
-        payload,
-        csv_columns=("proportion", "proportion_decimal"),
-        csv_values=(f"{frac.numerator}/{frac.denominator}", repr(float(frac))),
-    )
-    return EXIT_OK
+    proportion = f"{frac.numerator}/{frac.denominator}"
+    return _emit(args, {"proportion": proportion, "proportion_decimal": float(frac)})
 
 
 def _cmd_dn_census(args) -> int:
@@ -248,8 +217,7 @@ def _cmd_dn_census(args) -> int:
         cell_budget=args.budget,
         confidence=args.confidence,
     )
-    extra = {} if seed is None else {"seed": seed}
-    return _census_out(args, report, **extra)
+    return _census_out(args, report, seed=seed)
 
 
 def _cmd_group_validate(args) -> int:
@@ -258,10 +226,9 @@ def _cmd_group_validate(args) -> int:
     try:
         group = load(document)
     except GroupValidationError as exc:
-        _emit(args, {"ok": False, "problems": exc.problems, "config": _config_echo(args)})
+        _emit(args, {"ok": False, "problems": exc.problems})
         return EXIT_VALIDATION
-    _emit(args, {"ok": True, "group": store(group), "config": _config_echo(args)})
-    return EXIT_OK
+    return _emit(args, {"ok": True, "group": store(group)})
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,8 @@ from .partitions import (
     count_multipartitions,
     unrank_multipartition,
 )
-from .wreath_chars import DEFAULT_CELL_BUDGET, _level, _pool_map, character_table, mn_character
+from .wreath_chars import DEFAULT_CELL_BUDGET, character_table, mn_character
+from .wreath_chars import _csv_text, _level, _pool_map
 
 HR_COEFF = 2.0 * math.pi / math.sqrt(6.0)
 DEFAULT_CONFIDENCE = 0.99
@@ -180,21 +181,12 @@ class CensusReport(NamedTuple):
         }
 
     def csv_row(self) -> list[str]:
-        blank = ""
-        return [
-            self.mode,
-            self.group,
-            str(self.n),
-            str(self.p),
-            blank if self.samples is None else str(self.samples),
-            str(self.divisible_count),
-            str(self.cells_evaluated),
-            repr(float(self.proportion)),
-            blank if self.ci_low is None else repr(self.ci_low),
-            blank if self.ci_high is None else repr(self.ci_high),
-            blank if self.seed is None else str(self.seed),
-            blank if self.coverage is None else repr(float(self.coverage)),
-        ]
+        """The ``CSV_COLUMNS`` cells of ``to_json_dict()``, with the
+        proportion and the coverage as floats."""
+        fields = self.to_json_dict()
+        fields["proportion"] = float(self.proportion)
+        fields["coverage"] = None if self.coverage is None else float(self.coverage)
+        return [_csv_text(fields[name]) for name in CSV_COLUMNS]
 
 
 # ---------------------------------------------------------------------------

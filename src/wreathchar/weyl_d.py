@@ -21,7 +21,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .base_group import builtin
-from .congruence import _mash_component, require_prime
+from .congruence import _canonical, require_prime
 from .partitions import (
     MultiPartition,
     _check_int,
@@ -158,7 +158,7 @@ def dn_restricted_census(
         # D_N columns with one canonical label are congruent mod p, so each
         # canonical column is computed once and its row hits counted once per
         # D_N column mapping to it
-        weights = Counter(tuple(_mash_component(parts, p) for parts in mu) for mu in dn_cols)
+        weights = Counter(_canonical(mu, p) for mu in dn_cols)
         position = {lam: i for i, lam in enumerate(multipartitions_of(n, 2))}
         row_positions = [position[lam] for lam in rows]
         hits = 0

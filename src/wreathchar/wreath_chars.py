@@ -550,8 +550,16 @@ class CharTable(NamedTuple):
             fh.write("".join([f"{pre}{col}{v}\n" for col, v in zip(cols, row)]))
 
 
+def _csv_text(value) -> str:
+    """The one CSV cell rule: a string as it is, None blank, anything else
+    its compact JSON (``3``, ``0.5``, ``true``, ``[[6,1],[4,3]]``)."""
+    if isinstance(value, str):
+        return value
+    return "" if value is None else json.dumps(value, separators=(",", ":"))
+
+
 def _csv_label(lab: MultiPartition) -> str:
-    text = json.dumps(lab, separators=(",", ":"))
+    text = _csv_text(lab)
     return f'"{text}"' if "," in text else text
 
 

@@ -19,6 +19,7 @@ from wreathchar.cli import (
     main,
 )
 from wreathchar.partitions import _pk_arrays, multipartitions_of
+from wreathchar.stats import CSV_COLUMNS
 from wreathchar.wreath_chars import character_table
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -180,6 +181,24 @@ SAMPLED_ARGV = [
 ]
 
 
+# every subcommand that takes --format, with the header its CSV starts with
+# and its exit code; VALID and INVALID stand for group files written by the test
+CSV_HEADERS = [
+    (("entry", "--group", "Z2", "--lambda", "[[1],[1]]", "--mu", "[[1,1],[]]"), "chi,perm", EXIT_OK),
+    (("table", "--group", "Z2", "--n", "2"), "row_label,col_label,value", EXIT_OK),
+    (("mash", "--mu", "[[2,2],[]]", "--p", "2"), "canonical,largest_part", EXIT_OK),
+    (("equiv", "--mu", "[[2,2],[]]", "--nu", "[[1,1,1,1],[]]", "--p", "2"), "equivalent", EXIT_OK),
+    (("census", "--group", "Z2", "--n", "2", "--p", "2"), ",".join(CSV_COLUMNS), EXIT_OK),
+    (("sample-census", "--group", "Z2", "--n", "4", "--p", "2", "--samples", "5", "--seed", "1"), ",".join(CSV_COLUMNS), EXIT_OK),
+    (("cert-census", "--k", "2", "--n", "20", "--p", "2", "--samples", "5", "--seed", "1"), ",".join(CSV_COLUMNS), EXIT_OK),
+    (("asym", "--k", "2", "--n", "100"), "ratio", EXIT_OK),
+    (("concentration", "--k", "2", "--n", "20", "--delta", "0.3"), "proportion,proportion_decimal", EXIT_OK),
+    (("dn-census", "--n", "4", "--p", "2"), ",".join(CSV_COLUMNS), EXIT_OK),
+    (("group-validate", "--file", "VALID"), "ok,group", EXIT_OK),
+    (("group-validate", "--file", "INVALID"), "ok,problems", EXIT_VALIDATION),
+]
+
+
 class TestCensuses:
     def test_exact_census_json(self, capsys):
         code, out, _ = run(capsys, "census", "--group", "Z2", "--n", "2", "--p", "2")
@@ -333,10 +352,18 @@ class TestCensuses:
             ("certificate", ("cert-census", "--k", "2", "--n", "30", "--p", "2", "--samples", "40", "--seed", "7")),
             ("dn-exact", ("dn-census", "--n", "6", "--p", "3")),
             ("dn-sampled", ("dn-census", "--n", "8", "--p", "2", "--mode", "sampled", "--samples", "40", "--seed", "7")),
+            ("entry", ("entry", "--group", "Z2", "--lambda", "[[1],[1]]", "--mu", "[[1,1],[]]")),
+            ("mash", ("mash", "--mu", "[[6,1],[4,1,1,1]]", "--p", "3")),
+            ("equiv-true", ("equiv", "--mu", "[[2,2],[]]", "--nu", "[[1,1,1,1],[]]", "--p", "2")),
+            ("equiv-false", ("equiv", "--mu", "[[2],[]]", "--nu", "[[1,1],[]]", "--p", "3")),
+            ("asym", ("asym", "--k", "2", "--n", "10000")),
+            ("concentration", ("concentration", "--k", "2", "--n", "200", "--delta", "0.3")),
+            ("table", ("table", "--group", "Z2", "--n", "2")),
         ],
     )
     def test_report_bytes_are_pinned(self, capsys, name, argv, fmt):
-        # one small run of each census mode, its stdout pinned byte for byte
+        # one small run of each census mode and of each other subcommand that
+        # prints a report, its stdout pinned byte for byte
         code, out, _ = run(capsys, *argv, "--format", fmt)
         assert code == EXIT_OK
         assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
@@ -369,6 +396,23 @@ class TestCensuses:
         )
         header = out.splitlines()[0]
         assert header == "mode,group,n,p,samples,divisible,evaluated,proportion,ci_low,ci_high,seed,coverage"
+
+    @pytest.mark.parametrize(
+        "argv, header, exit_code", CSV_HEADERS, ids=[f"{argv[0]}-{code}" for argv, _, code in CSV_HEADERS]
+    )
+    def test_csv_starts_with_its_header(self, capsys, tmp_path, argv, header, exit_code):
+        valid = store(builtin("S3"))
+        invalid = store(builtin("S3"))
+        invalid["table"][2][2] = 5
+        files = {}
+        for key, doc in (("VALID", valid), ("INVALID", invalid)):
+            files[key] = tmp_path / f"{key}.json"
+            files[key].write_text(json.dumps(doc))
+        argv = [str(files.get(arg, arg)) for arg in argv]
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == exit_code
+        assert not out.startswith("{")
+        assert out.splitlines()[0] == header
 
 
 class TestGroupValidate:
@@ -432,7 +476,7 @@ class TestHelp:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args([cmd, "--help"])
         assert exc.value.code == 0
-        assert cmd in capsys.readouterr().out or True
+        assert f"usage: wreathchar {cmd} " in capsys.readouterr().out
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
