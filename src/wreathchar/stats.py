@@ -7,9 +7,13 @@ worker count and evaluation order.  Sampled and certificate censuses draw
 identical (lambda, mu) streams for equal (n, seed), which makes seed-paired
 soundness comparisons exact.
 
-The exact census builds the full table, then reduces mod p only one row per
-orbit of the linear characters (``wreath_chars._Level``), weighted by the
-orbit's size: every row of an orbit is +-1 times its representative.
+The exact census counts on the table as ``character_table`` returns it, its
+quotient by the table's symmetries: the representative row of each orbit of
+the linear characters (``wreath_chars._Level``) on the least column of each
+orbit of the centre.  Every row of an orbit is +-1 times its representative
+and every column of a centre orbit +-1 times its least column, so each cell
+of that block is weighted by the sizes of its two orbits, and no row of the
+table is built.
 
 Every sampled census, type D included, is one call to ``_sampled_census``,
 which checks its inputs, counts its hits and builds its report.
@@ -44,7 +48,7 @@ from .partitions import (
     unrank_multipartition,
 )
 from .wreath_chars import DEFAULT_CELL_BUDGET, character_table, mn_character
-from .wreath_chars import _csv_text, _level, _pool_map
+from .wreath_chars import _csv_text, _divisible_cells, _pool_map
 
 HR_COEFF = 2.0 * math.pi / math.sqrt(6.0)
 DEFAULT_CONFIDENCE = 0.99
@@ -200,27 +204,24 @@ def exact_census(
     cell_budget: int = DEFAULT_CELL_BUDGET,
     workers: int = 1,
 ) -> CensusReport:
-    """Build the full table and count its entries divisible by p (exact
-    rational), each orbit of rows under the linear characters once.
+    """Count the entries of the full table divisible by p (exact rational)
+    on the table's quotient, one cell per row orbit and centre orbit.
 
-    A row of an orbit is Theta chi^rep with Theta = +-1, so it has its
-    representative's zeros mod p in every column: the count reduces only the
-    representative rows, each weighted by the size of its orbit.
+    A row of an orbit under the linear characters is Theta chi^rep with
+    Theta = +-1, and a column of a centre orbit is +-1 times its least
+    column, so a cell of the block ``character_table`` computes has the
+    residue of every cell it stands for: the count weights it by
+    |row orbit| * |centre orbit| and builds no row and no class size.
     """
     require_prime(p)
     table = character_table(group, n, cell_budget=cell_budget, workers=workers)
-    level = _level({}, n, group)
-    cells = len(table.row_labels) ** 2
-    divisible = sum(
-        len(orbit) * _zeros_mod(table.values[rep], p) for rep, orbit in zip(level.reps, level.orbits)
-    )
     return CensusReport(
         mode="exact",
         group=group.name,
         n=n,
         p=p,
-        cells_evaluated=cells,
-        divisible_count=divisible,
+        cells_evaluated=len(table.row_labels) ** 2,
+        divisible_count=_divisible_cells(table, p),
     )
 
 
@@ -260,7 +261,6 @@ def _sampled_census(
     seed: int,
     workers: int = 1,
     confidence: Optional[float] = None,
-    coverage: Optional[Fraction] = None,
 ) -> CensusReport:
     """Checks the inputs, counts the indices i < samples with
     test(*draw(seed, i)) and reports them, with a Wilson interval when a
@@ -290,7 +290,6 @@ def _sampled_census(
         ci_low=low,
         ci_high=high,
         seed=seed,
-        coverage=coverage,
     )
 
 

@@ -103,6 +103,14 @@ def nonsplit_rows(n: int) -> list[MultiPartition]:
     return rows
 
 
+def _sub_table(n: int) -> tuple[int, Fraction]:
+    """The cells of the determined sub-table, nonsplit rows times D_N
+    columns, and the share of the full D_N table they cover."""
+    census = dn_irrep_census(n)
+    cells = census.nonsplit * _dn_column_count(n)
+    return cells, Fraction(cells, census.total * census.total)
+
+
 def _draw_dn_cell(n: int, seed: int, index: int):
     """Sample index of the sampled D_N census: a nonsplit row and a D_N column."""
     stream = CounterStream(seed, index)
@@ -138,47 +146,46 @@ def dn_restricted_census(
     reads.
     """
     require_prime(p)
-    _check_int("n", n)
+    _check_int("n", n, 1)
     _check_int("cell_budget", cell_budget)
-    if mode == "exact":
-        for name, value in (("samples", samples), ("seed", seed)):
-            if value is not None:
-                raise ValueError(f"{name} applies only to mode='sampled'")
     group = builtin("Z2")
-    census = dn_irrep_census(n)
-    columns = _dn_column_count(n)
-    coverage = Fraction(census.nonsplit * columns, census.total * census.total)
-    if mode == "exact":
-        # the budget is checked on the counts, before any label is enumerated
-        cells = census.nonsplit * columns
-        if cells > cell_budget:
-            raise CellBudgetExceeded(f"sub-table needs {cells} cells, budget is {cell_budget}")
-        dn_cols = [mp for mp in multipartitions_of(n, 2) if len(mp[1]) % 2 == 0]
-        rows = nonsplit_rows(n)
-        # D_N columns with one canonical label are congruent mod p, so each
-        # canonical column is computed once and its row hits counted once per
-        # D_N column mapping to it
-        weights = Counter(_canonical(mu, p) for mu in dn_cols)
-        position = {lam: i for i, lam in enumerate(multipartitions_of(n, 2))}
-        row_positions = [position[lam] for lam in rows]
-        hits = 0
-        for col, weight in zip(_columns(group, n, list(weights)), weights.values()):
-            hits += weight * _zeros_mod(map(col.__getitem__, row_positions), p)
-        return CensusReport(
-            mode="dn-exact",
-            group="D",
-            n=n,
-            p=p,
-            cells_evaluated=cells,
-            divisible_count=hits,
-            coverage=coverage,
+    # every argument is checked before p_2(n) and the D_N columns are counted
+    if mode == "sampled":
+        if samples is None or seed is None:
+            raise ValueError("sampled mode needs samples and seed")
+        # _sampled_census checks the rest before its first draw
+        report = _sampled_census(
+            "dn-sampled", "D", 2, n, p,
+            partial(_draw_dn_cell, n), partial(_divisible, group, p),
+            samples, seed, confidence=confidence,
         )
-    if mode != "sampled":
+        return report._replace(coverage=_sub_table(n)[1])
+    if mode != "exact":
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-    if samples is None or seed is None:
-        raise ValueError("sampled mode needs samples and seed")
-    return _sampled_census(
-        "dn-sampled", "D", 2, n, p,
-        partial(_draw_dn_cell, n), partial(_divisible, group, p),
-        samples, seed, confidence=confidence, coverage=coverage,
+    for name, value in (("samples", samples), ("seed", seed)):
+        if value is not None:
+            raise ValueError(f"{name} applies only to mode='sampled'")
+    cells, coverage = _sub_table(n)
+    # the budget is checked on the counts, before any label is enumerated
+    if cells > cell_budget:
+        raise CellBudgetExceeded(f"sub-table needs {cells} cells, budget is {cell_budget}")
+    dn_cols = [mp for mp in multipartitions_of(n, 2) if len(mp[1]) % 2 == 0]
+    rows = nonsplit_rows(n)
+    # D_N columns with one canonical label are congruent mod p, so each
+    # canonical column is computed once and its row hits counted once per
+    # D_N column mapping to it
+    weights = Counter(_canonical(mu, p) for mu in dn_cols)
+    position = {lam: i for i, lam in enumerate(multipartitions_of(n, 2))}
+    row_positions = [position[lam] for lam in rows]
+    hits = 0
+    for col, weight in zip(_columns(group, n, list(weights)), weights.values()):
+        hits += weight * _zeros_mod(map(col.__getitem__, row_positions), p)
+    return CensusReport(
+        mode="dn-exact",
+        group="D",
+        n=n,
+        p=p,
+        cells_evaluated=cells,
+        divisible_count=hits,
+        coverage=coverage,
     )

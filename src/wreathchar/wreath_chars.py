@@ -40,7 +40,8 @@ import os
 from collections import Counter
 from functools import lru_cache, partial
 from math import factorial
-from operator import itemgetter, mul, neg
+from itertools import compress, repeat
+from operator import itemgetter, mod, mul, neg, not_
 from typing import Iterable, NamedTuple
 
 from .base_group import GroupData
@@ -513,15 +514,52 @@ def dimension(group: GroupData, lam: MultiPartition) -> int:
     return out
 
 
-class CharTable(NamedTuple):
-    """Full character table of G wr S_n with canonical row/column labelling."""
+class CharTable:
+    """Full character table of G wr S_n with canonical row/column labelling.
 
-    group: GroupData
-    n: int
-    row_labels: tuple[MultiPartition, ...]
-    col_labels: tuple[MultiPartition, ...]
-    values: tuple[tuple[int, ...], ...]  # values[row][col]
-    class_sizes: tuple[int, ...]
+    ``character_table`` returns it as its quotient by the table's
+    symmetries: the values of each representative row (``_Level``) on the
+    least column of each orbit of the centre.  ``values`` and
+    ``class_sizes`` are built on first read and kept; building ``values``
+    frees that block, so the first read of ``values`` must not race another
+    thread's.  The fields cannot be reassigned.
+    """
+
+    __slots__ = (
+        "group", "n", "row_labels", "col_labels",
+        "_level", "_centre", "_twins", "_by_rep", "_values", "_class_sizes",
+    )
+
+    def __init__(
+        self, group: GroupData, n: int, labels: tuple, level: _Level, centre: list, twins: list, by_rep: list
+    ):
+        self._set(
+            group=group, n=n, row_labels=labels, col_labels=labels,
+            _level=level, _centre=centre, _twins=twins, _by_rep=by_rep,
+            _values=None, _class_sizes=None,
+        )
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a CharTable's fields are read-only")
+
+    @property
+    def values(self) -> tuple[tuple[int, ...], ...]:
+        """values[row][col], the cell of row_labels[row] and col_labels[col]."""
+        if self._values is None:
+            values = _rows(self._level, self.col_labels, self._centre, self._twins, self._by_rep)
+            self._set(_values=values, _level=None, _centre=None, _twins=None, _by_rep=None)
+        return self._values
+
+    @property
+    def class_sizes(self) -> tuple[int, ...]:
+        """class_sizes[col], the size of the class col_labels[col]."""
+        if self._class_sizes is None:
+            self._set(_class_sizes=tuple(class_size(self.group, mu) for mu in self.col_labels))
+        return self._class_sizes
 
     def to_json_dict(self) -> dict:
         return {
@@ -649,6 +687,22 @@ def _rows(level: _Level, labels: tuple, centre: list, twins: list, by_rep: list)
     return tuple(rows)
 
 
+def _divisible_cells(table: CharTable, p: int) -> int:
+    """How many cells of table p divides, counted on its block, before its
+    rows are built.
+
+    Each row of an orbit is +-1 times its representative row, and each
+    column of a centre orbit +-1 times its least column, so a cell of the
+    block stands for |row orbit| * |centre orbit| cells with its residue.
+    """
+    # per computed column, in the block's order: the size of its centre orbit
+    weights = [size for _, size in sorted(Counter(source for source, _ in table._twins).items())]
+    return sum(
+        len(orbit) * sum(compress(weights, map(not_, map(mod, values, repeat(p)))))
+        for orbit, values in zip(table._level.orbits, table._by_rep)
+    )
+
+
 def character_table(
     group: GroupData,
     n: int,
@@ -663,8 +717,9 @@ def character_table(
     with omega_lambda(z) = +-1, so ``character_column`` runs only on the
     least label of each orbit of the centre, and the other columns are sign
     copies.  Only the values on the row representatives (``_Level``) are
-    kept, and each row is built from its representative's values by the
-    sign rule of ``_Level.fill``.
+    kept, and the table is returned as that block: reading ``values``
+    builds each row from its representative's values by the sign rule of
+    ``_Level.fill``, and reading ``class_sizes`` computes the class sizes.
     """
     _check_int("n", n, 0)
     _check_int("workers", workers, 1)
@@ -692,13 +747,4 @@ def character_table(
     # n's too, so the peak memory holds one or the other
     level.steps.clear()
     level.getters.clear()
-    values = _rows(level, labels, centre, twins, by_rep)
-    sizes = tuple(class_size(group, mu) for mu in labels)
-    return CharTable(
-        group=group,
-        n=n,
-        row_labels=labels,
-        col_labels=labels,
-        values=values,
-        class_sizes=sizes,
-    )
+    return CharTable(group, n, labels, level, centre, twins, by_rep)

@@ -72,10 +72,10 @@ def test_orbits_of_the_latest_table_only():
 
 
 def test_exact_census_peak_memory():
-    # the table keeps only the representative rows of each computed column
-    # until its rows are built, and drops level n's peel steps and fill
-    # getters first: 2.44 MiB here, 4.2 MiB when it held every full column
-    # and every row at once
+    # the census counts on the table's block, the representative rows on
+    # the least column of each centre orbit, and never builds the rows:
+    # 1.04 MiB here, 2.44 when it built every row and 4.2 when the table
+    # held every full column and every row at once
     multipartitions_of(10, 2)
     tracemalloc.start()
     try:
@@ -83,7 +83,7 @@ def test_exact_census_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * 2**20
+    assert peak <= 2.0 * 2**20
 
 
 def test_table_drops_level_n_steps_and_getters(monkeypatch):
@@ -97,7 +97,7 @@ def test_table_drops_level_n_steps_and_getters(monkeypatch):
         return rows(level, *args)
 
     monkeypatch.setattr(wreath_chars, "_rows", spy)
-    character_table(builtin("Z2"), 6)
+    character_table(builtin("Z2"), 6).values  # the rows are built on first read
     [level] = seen
     assert level.m == 6 and level.steps == {} and level.getters == {}
 

@@ -6,9 +6,16 @@ from fractions import Fraction
 
 import pytest
 
+from wreathchar import stats, wreath_chars
 from wreathchar.base_group import BUILTIN_NAMES, builtin
 from wreathchar.congruence import mash_canonical
-from wreathchar.partitions import MultiPartition, count_multipartitions, count_partitions, unrank_multipartition
+from wreathchar.partitions import (
+    MultiPartition,
+    count_multipartitions,
+    count_partitions,
+    multipartitions_of,
+    unrank_multipartition,
+)
 from wreathchar.stats import (
     CSV_COLUMNS,
     CounterStream,
@@ -183,6 +190,30 @@ class TestExactCensus:
         for p in (2, 3, 5):
             r = exact_census(Z2, 6, p, workers=workers)
             assert (r.divisible_count, r.cells_evaluated) == oracles.full_table_census(Z2, 6, p), p
+
+    def test_counts_on_the_table_quotient(self, monkeypatch):
+        # the census reads the table's block, the representative rows on the
+        # least column of each centre orbit, and builds no row or class size
+        want = oracles.full_table_census(Z2, 6, 2)
+        calls = Counter()
+
+        def spy(module, name):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, **kw: calls.update([name]) or real(*args, **kw))
+
+        spy(stats, "character_table")
+        spy(wreath_chars, "character_column")
+        for name in ("_rows", "class_size"):
+            monkeypatch.setattr(wreath_chars, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+        r = exact_census(Z2, 6, 2)
+        assert (r.divisible_count, r.cells_evaluated) == want
+        zs = oracles.central_classes(Z2.centralizer_orders, Z2.identity_class)
+        orbits = {
+            min([mu] + [oracles.central_image(Z2.table, Z2.identity_class, z, mu) for z in zs])
+            for mu in multipartitions_of(6, 2)
+        }
+        assert calls == Counter(character_table=1, character_column=len(orbits))
+        assert len(orbits) < len(multipartitions_of(6, 2))
 
 
 class TestSampledCensus:

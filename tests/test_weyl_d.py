@@ -207,6 +207,28 @@ class TestRestrictedCensus:
         with pytest.raises(ValueError):
             dn_restricted_census(6, 2, mode="bogus")
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"mode": "bogus"}, r"^mode must be 'exact' or 'sampled', got 'bogus'$"),
+            ({"mode": "sampled"}, r"^sampled mode needs samples and seed$"),
+            ({"mode": "sampled", "samples": 0, "seed": 1}, r"^samples must be >= 1, got 0$"),
+            ({"mode": "sampled", "samples": 10, "seed": -1}, r"^seed must be an integer in \[0, 2\*\*64\)"),
+            ({"mode": "sampled", "samples": 10, "seed": 1, "confidence": 1.5}, r"^confidence must be"),
+        ],
+        ids=["bad-mode", "no-samples", "zero-samples", "bad-seed", "bad-confidence"],
+    )
+    def test_arguments_checked_before_counting(self, monkeypatch, kwargs, message):
+        # at n=3000 the counts take a quarter of a second; a bad argument
+        # is refused before any of it
+        def no_count(n):
+            raise AssertionError("counted before the arguments were checked")
+
+        monkeypatch.setattr(weyl_d, "dn_irrep_census", no_count)
+        monkeypatch.setattr(weyl_d, "_dn_column_count", no_count)
+        with pytest.raises(ValueError, match=message):
+            dn_restricted_census(3000, 2, **kwargs)
+
     def test_exact_vs_sampled_consistency(self):
         exact = dn_restricted_census(8, 2, mode="exact")
         sampled = dn_restricted_census(8, 2, mode="sampled", samples=4000, seed=5)

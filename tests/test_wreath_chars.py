@@ -411,7 +411,7 @@ class TestCharacterTable:
 
         monkeypatch.setattr(wreath_chars, stage, fail_second)
         with pytest.raises(RuntimeError, match=f"{stage} failed"):
-            character_table(Z2, 4)
+            character_table(Z2, 4).values  # the rows are built on first read
         assert _step_tables.cache_info().currsize == 0
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -423,6 +423,22 @@ class TestCharacterTable:
             assert type(t.values) is tuple and all(type(row) is tuple for row in t.values)
             for c, mu in enumerate(t.col_labels):
                 assert [row[c] for row in t.values] == character_column(g, n, mu), (n, mu)
+
+    def test_rows_and_class_sizes_built_on_first_read(self, monkeypatch):
+        built = Counter()
+
+        def spy(name):
+            real = getattr(wreath_chars, name)
+            monkeypatch.setattr(wreath_chars, name, lambda *args: built.update([name]) or real(*args))
+
+        spy("_rows")
+        spy("class_size")
+        t = character_table(S3, 3)
+        assert not built
+        assert t.values is t.values and t.class_sizes is t.class_sizes
+        assert built == Counter(_rows=1, class_size=len(t.col_labels))
+        assert type(t.values) is tuple and all(type(row) is tuple for row in t.values)
+        assert type(t.class_sizes) is tuple
 
     def test_orthogonality_small(self):
         # k = 3 goes up to n = 4; the k <= 2 sweep to n = 5 is in acceptance
