@@ -178,7 +178,7 @@ def dn_restricted_census(
     position = {lam: i for i, lam in enumerate(multipartitions_of(n, 2))}
     row_positions = [position[lam] for lam in rows]
     hits = 0
-    for col, weight in zip(_columns(group, n, list(weights)), weights.values()):
+    for col, weight in zip(_columns(group, list(weights)), weights.values()):
         hits += weight * _zeros_mod(map(col.__getitem__, row_positions), p)
     return CensusReport(
         mode="dn-exact",

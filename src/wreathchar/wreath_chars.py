@@ -12,19 +12,24 @@ over indexed peel steps (``character_column``).  The column kernel pulls
 each step only on one representative per orbit of the linear characters
 Theta = (theta wr 1) sgn^e, since chi^lambda Theta is again irreducible,
 and fills in every other row by the sign Theta takes on the class peeled so
-far.  Its state is one ``_Level`` per level m for the latest (n, table):
-the index of the multipartitions of m, their orbits and the peel steps
-built on the representatives.  ``_columns`` is the one column loop: it maps
-``character_column`` over a process pool (``_pool_map``, also the sampled
-censuses' pool) and owns those levels, which it drops when its columns are
-done or one fails.  ``_pool_map`` imports ``concurrent.futures`` only when it
-starts two or more processes, so a serial run never loads the pool machinery.
+far.  Its state is one ``_Level`` per level m for the latest table, shared
+by columns of every total: the index of the multipartitions of m, their
+orbits and the peel steps built on the representatives.  ``_columns`` is the
+one column loop: it maps ``character_column`` over a process pool
+(``_pool_map``, also the sampled censuses' pool), each label at its own
+total, and owns those levels, which it drops when its columns are done or
+one fails.  ``_pool_map`` imports ``concurrent.futures`` only when it starts
+two or more processes, so a serial run never loads the pool machinery.
 ``character_table`` uses two more symmetries.  A central z of G makes the
 diagonal (z, ..., z) central, and it multiplies column mu by +-1 on every
 row and takes it to column z mu, so only the least label of each orbit of
-the centre goes to ``character_column``.  Of each column it keeps only the
-values on the level's representatives, and it builds every row from its
-representative's values by the sign rule of ``_Level.fill``.
+the centre is computed, and only on the representatives of level n.  The
+last peel step of a column is the same for every column whose longest part
+has the same length L and class j, so the table computes each column's
+sub-column at n - L once per distinct sub-class, and pulls the step at n
+once per (L, j) for all the columns that share it (``_top_steps``).
+Reading the table's rows builds each from its representative's values by
+the sign rule of ``_Level.fill``.
 Permutation-module values come from an independent row-decomposition DP.
 The two are linked by Kostka-product multiplicities, which the acceptance
 suite checks cell by cell.
@@ -40,8 +45,8 @@ import os
 from collections import Counter
 from functools import lru_cache, partial
 from math import factorial
-from itertools import compress, repeat
-from operator import itemgetter, mod, mul, neg, not_
+from itertools import compress, islice, repeat
+from operator import add, itemgetter, mod, mul, neg, not_, sub
 from typing import Iterable, NamedTuple
 
 from .base_group import GroupData
@@ -163,13 +168,14 @@ def mn_character(group: GroupData, lam: MultiPartition, mu: MultiPartition) -> i
     return _mn_value(group.table, lam, mu)
 
 
-# The column kernel's state for the latest (n, table): one _Level per level
-# m, built on first use.  A peel step depends on its level and length, never
-# on the column, so a full table builds each step once and every column
-# reuses it.  Only the latest key is kept, and _columns drops it once its
-# columns are in or one of them fails.
+# The column kernel's state for the latest table: one _Level per level m,
+# built on first use.  A level never depends on the n of the column that
+# asks for it, and a peel step depends on its level and length, never on the
+# column, so a full table builds each step once and every column of every
+# total reuses it.  Only the latest table is kept, and _columns drops it once
+# its columns are in or one of them fails.
 @lru_cache(maxsize=1)
-def _step_tables(n: int, table: tuple) -> dict:
+def _step_tables(table: tuple) -> dict:
     return {}
 
 
@@ -331,7 +337,7 @@ def character_column(group: GroupData, n: int, mu: MultiPartition) -> list[int]:
     if mu.total != n:
         raise ValueError(f"class label {mu} does not have total {n}")
     table = group.table
-    levels = _step_tables(n, table)
+    levels = _step_tables(table)
     values = [1]  # the one multipartition of 0
     remaining = 0
     odd = [0] * k  # the parity of each component's length in nu
@@ -368,13 +374,26 @@ def _pool_map(fn, items, workers: int):
         yield from pool.map(fn, items, chunksize=max(1, len(items) // (4 * procs)))
 
 
-def _columns(group: GroupData, n: int, labels, workers: int = 1):
-    """character_column(group, n, mu) for each mu of labels, in order; the
-    peel-step tables are dropped once the columns are in or one fails."""
+def _column(group: GroupData, mu: MultiPartition) -> list[int]:
+    """character_column at mu's own total (a module function, so that the
+    pool can pickle it)."""
+    return character_column(group, mu.total, mu)
+
+
+def _drop_step_tables(levels: dict) -> None:
+    """Empty levels, the level state, and forget it, so that no reference
+    left to the dict keeps the levels alive."""
+    levels.clear()
+    _step_tables.cache_clear()
+
+
+def _columns(group: GroupData, labels, workers: int = 1):
+    """character_column(group, mu.total, mu) for each label mu, in order; the
+    level state is dropped once the columns are in or one fails."""
     try:
-        yield from _pool_map(partial(character_column, group, n), labels, workers)
+        yield from _pool_map(partial(_column, group), labels, workers)
     finally:
-        _step_tables.cache_clear()
+        _drop_step_tables(_step_tables(group.table))
 
 
 # ---------------------------------------------------------------------------
@@ -714,12 +733,13 @@ def character_table(
 
     Two symmetries of the table cut the work.  A central z of G gives the
     central (z, ..., z), and chi^lambda(z mu) = omega_lambda(z) chi^lambda(mu)
-    with omega_lambda(z) = +-1, so ``character_column`` runs only on the
-    least label of each orbit of the centre, and the other columns are sign
-    copies.  Only the values on the row representatives (``_Level``) are
-    kept, and the table is returned as that block: reading ``values``
-    builds each row from its representative's values by the sign rule of
-    ``_Level.fill``, and reading ``class_sizes`` computes the class sizes.
+    with omega_lambda(z) = +-1, so only the least label of each orbit of the
+    centre is computed, and the other columns are sign copies.  Only the
+    values on the row representatives (``_Level``) are computed, and the
+    table is returned as that block: reading ``values`` builds each row from
+    its representative's values by the sign rule of ``_Level.fill``, and
+    reading ``class_sizes`` computes the class sizes.  The block's columns
+    come from the batched top steps of ``_top_steps``.
     """
     _check_int("n", n, 0)
     _check_int("workers", workers, 1)
@@ -734,17 +754,72 @@ def character_table(
             f"table needs {size}^2 = {size * size} cells, budget is {cell_budget}"
         )
     labels = multipartitions_of(n, group.k)
+    # the serial sub-columns build their levels into the same state
+    levels = _step_tables(group.table)
     try:
         centre = _centre(group)
         twins = _twins(centre, labels)
         computed = [labels[c] for c, (source, _) in enumerate(twins) if source == c]
-        # the serial columns build their own level n into the same tables
-        level = _level(_step_tables(n, group.table), n, group)
-        by_rep = list(zip(*map(_gather(level.reps), _columns(group, n, computed, workers))))
+        level = _level(levels, n, group)
+        by_rep = _top_steps(group, levels, computed, workers) if n else [(1,)]
     finally:
-        _step_tables.cache_clear()
+        _drop_step_tables(levels)
     # the rows are built once the peel steps and fill getters are gone, level
     # n's too, so the peak memory holds one or the other
     level.steps.clear()
     level.getters.clear()
     return CharTable(group, n, labels, level, centre, twins, by_rep)
+
+
+def _top_steps(group: GroupData, levels: dict, computed: list, workers: int) -> list[tuple]:
+    """The values of each representative row of level n on the columns
+    computed (labels of n >= 1), by their last peel step, batched.
+
+    With (L, j) = flatten_class(mu)[0], column mu on the representatives is
+    character_column(group, n - L, mu less that part) pulled through
+    _peel_step(levels, n, L) with the factors table[q][j] (-1)^height.  Each
+    distinct sub-class goes to _columns once, in order of L, and each (L, j)
+    pulls its step once over lanes: per row of level n - L, the tuple of its
+    values on the sub-columns of that (L, j).  A batch's sub-columns are
+    dropped before the next L.
+    """
+    table = group.table
+    n = computed[0].total
+    batches: dict = {}  # per L: (its distinct sub-classes, per j: (block position, sub-class position))
+    for pos, mu in enumerate(computed):
+        length, j = max((comp[0], j) for j, comp in enumerate(mu) if comp)
+        rest = MultiPartition._from_valid(mu[:j] + (mu[j][1:],) + mu[j + 1 :])
+        subs, uses = batches.setdefault(length, ({}, {}))
+        uses.setdefault(j, []).append((pos, subs.setdefault(rest, len(subs))))
+    order = sorted(batches)
+    rows: list[list] = [[] for _ in _level(levels, n, group).reps]
+    placed = []  # the block position of each value of a row, in the order pulled
+    columns = _columns(group, [rest for length in order for rest in batches[length][0]], workers)
+    try:
+        for length in order:
+            subs, uses = batches[length]
+            sub_columns = list(islice(columns, len(subs)))
+            step = _peel_step(levels, n, length, group)
+            for j, used in uses.items():
+                placed += [pos for pos, _ in used]
+                lanes = list(zip(*[sub_columns[i] for _, i in used]))
+                # per move (2 q + height mod 2): table[q][j] (-1)^height
+                factors = [f for row in table for f in (row[j], -row[j])]
+                for row, moves in zip(rows, step):
+                    acc = repeat(0, len(used))
+                    for m, target in moves:
+                        factor = factors[m]
+                        if factor == 1:
+                            acc = map(add, acc, lanes[target])
+                        elif factor == -1:
+                            acc = map(sub, acc, lanes[target])
+                        elif factor:
+                            acc = map(add, acc, map(mul, lanes[target], repeat(factor)))
+                    row += acc
+    finally:
+        columns.close()
+    # back to the order of computed, one row at a time
+    back = _gather(sorted(range(len(placed)), key=placed.__getitem__))
+    for i, row in enumerate(rows):
+        rows[i] = tuple(back(row))
+    return rows

@@ -148,6 +148,20 @@ def central_image(table, identity, z, mu):
     return tuple(tuple(sorted(comp, reverse=True)) for comp in out)
 
 
+def top_sub_classes(labels):
+    """What a full table asks ``character_column`` for, given the labels of
+    the columns it computes: per label mu, (n - L, mu less the part L) for
+    mu's longest part L in the last component that holds one; distinct,
+    ordered by L and then by first appearance."""
+    by_length = {}
+    for mu in labels:
+        length, j = max((part, j) for j, comp in enumerate(mu) for part in comp)
+        rest = tuple(comp[1:] if i == j else comp for i, comp in enumerate(mu))
+        by_length.setdefault(length, {}).setdefault(rest, None)
+    n = sum(map(sum, labels[0]))
+    return [(n - length, rest) for length in sorted(by_length) for rest in by_length[length]]
+
+
 def central_character(table, identity, z, lam):
     """omega_lambda(z) = prod_q (psi_q(z) / deg_q)^|lambda_q|, the scalar by
     which the central (z, ..., z) acts on the irreducible lambda."""

@@ -2,7 +2,8 @@
 
 The column path keeps one ``_Level`` per level (index, orbits and peel
 steps) in ``_step_tables`` only while its columns run, and for the latest
-(n, table) only; ``multipartitions_of`` holds the latest (n, k),
+table only, one state for columns of every total; ``multipartitions_of``
+holds the latest (n, k),
 ``kostka`` keeps its memo for one call, nothing on the engine's paths
 fills the ``_strip_removals`` cache of ``remove_rimhooks``, and that cache
 has a fixed bound.
@@ -63,18 +64,38 @@ def test_orbits_of_the_latest_table_only():
         for mu in labels[::7]:
             character_column(g, n, mu)
         assert _step_tables.cache_info().currsize == 1
-        levels = _step_tables(n, g.table)  # the columns' own levels, not a new dict
+        levels = _step_tables(g.table)  # the columns' own levels, not a new dict
         assert _step_tables.cache_info().currsize == 1
         assert n in levels and set(levels) <= set(range(n + 1))
         assert all(isinstance(level, _Level) for level in levels.values())
-    assert len(list(_columns(g, n, labels[:5]))) == 5
+    assert len(list(_columns(g, labels[:5]))) == 5
     assert _step_tables.cache_info().currsize == 0
+
+
+def test_one_level_state_for_every_total():
+    # a level never depends on the n of the column that asks for it, so
+    # columns of n = 6 and then n = 3 on one table fill one dict; the full
+    # table and both exact censuses empty it, as well as forget it
+    g = builtin("Z2")
+    for run in (
+        lambda: character_table(g, 6),
+        lambda: exact_census(g, 6, 2),
+        lambda: dn_restricted_census(6, 3, mode="exact"),
+    ):
+        character_column(g, 6, ((3, 1), (2,)))
+        levels = _step_tables(g.table)
+        character_column(g, 3, ((1,), (2,)))
+        assert _step_tables(g.table) is levels and _step_tables.cache_info().currsize == 1
+        assert 6 in levels and 3 in levels and set(levels) <= set(range(7))
+        run()
+        assert levels == {} and _step_tables.cache_info().currsize == 0
 
 
 def test_exact_census_peak_memory():
     # the census counts on the table's block, the representative rows on
     # the least column of each centre orbit, and never builds the rows:
-    # 1.04 MiB here, 2.44 when it built every row and 4.2 when the table
+    # 0.94 MiB here, 1.04 when every computed column ran whole through
+    # character_column, 2.44 when it built every row and 4.2 when the table
     # held every full column and every row at once
     multipartitions_of(10, 2)
     tracemalloc.start()

@@ -202,18 +202,30 @@ class TestExactCensus:
             monkeypatch.setattr(module, name, lambda *args, **kw: calls.update([name]) or real(*args, **kw))
 
         spy(stats, "character_table")
-        spy(wreath_chars, "character_column")
+        real = wreath_chars.character_column
+        asked = []
+
+        def column(*args):
+            calls.update(["character_column"])
+            asked.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(wreath_chars, "character_column", column)
         for name in ("_rows", "class_size"):
             monkeypatch.setattr(wreath_chars, name, lambda *args, name=name: pytest.fail(f"{name} called"))
         r = exact_census(Z2, 6, 2)
         assert (r.divisible_count, r.cells_evaluated) == want
         zs = oracles.central_classes(Z2.centralizer_orders, Z2.identity_class)
-        orbits = {
-            min([mu] + [oracles.central_image(Z2.table, Z2.identity_class, z, mu) for z in zs])
-            for mu in multipartitions_of(6, 2)
-        }
-        assert calls == Counter(character_table=1, character_column=len(orbits))
-        assert len(orbits) < len(multipartitions_of(6, 2))
+        labels = multipartitions_of(6, 2)
+        least = [
+            mu for c, mu in enumerate(labels)
+            if all(labels.index(oracles.central_image(Z2.table, Z2.identity_class, z, mu)) >= c for z in zs)
+        ]
+        # one character_column call per sub-column that the top steps of
+        # the 42 centre orbits pull from
+        assert calls == Counter(character_table=1, character_column=29)
+        assert asked == oracles.top_sub_classes(least)
+        assert len(least) == 42 and len(least) < len(labels)
 
 
 class TestSampledCensus:

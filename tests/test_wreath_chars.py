@@ -380,6 +380,7 @@ class TestCharacterTable:
             assert _step_tables.cache_info().currsize == 0
 
     def test_step_tables_dropped_when_a_column_fails(self, monkeypatch):
+        levels = _step_tables(Z2.table)
         real = wreath_chars.character_column
         calls = []
 
@@ -393,7 +394,7 @@ class TestCharacterTable:
         with pytest.raises(RuntimeError, match="column failed"):
             character_table(Z2, 4)
         assert len(calls) == 2
-        assert _step_tables.cache_info().currsize == 0
+        assert levels == {} and _step_tables.cache_info().currsize == 0
 
     @pytest.mark.parametrize("stage", ["_centre", "character_column", "_rows"])
     def test_step_tables_dropped_when_a_stage_fails(self, monkeypatch, stage):
@@ -412,6 +413,61 @@ class TestCharacterTable:
         monkeypatch.setattr(wreath_chars, stage, fail_second)
         with pytest.raises(RuntimeError, match=f"{stage} failed"):
             character_table(Z2, 4).values  # the rows are built on first read
+        assert _step_tables.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_step_tables_dropped_when_a_top_step_fails(self, monkeypatch, workers):
+        # the sub-columns stop below level n, so only a top step peels from n
+        levels = _step_tables(Z2.table)
+        character_column(Z2, 4, ((1,) * 4, ()))
+        real = wreath_chars._peel_step
+        tops = []
+
+        def fail_second_top(levels, remaining, length, group):
+            if remaining == 5:
+                tops.append(length)
+                if len(tops) == 2:
+                    raise RuntimeError("top step failed")
+            return real(levels, remaining, length, group)
+
+        monkeypatch.setattr(wreath_chars, "_peel_step", fail_second_top)
+        with pytest.raises(RuntimeError, match="top step failed"):
+            character_table(Z2, 5, workers=workers)
+        assert tops == [1, 2]
+        assert levels == {} and _step_tables.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_n0_and_n1(self, monkeypatch, name):
+        # n = 0 has no top part to peel and computes no column; at n = 1
+        # every sub-column is the one column of n = 0
+        g = builtin(name)
+        real = wreath_chars.character_column
+        asked = []
+        monkeypatch.setattr(wreath_chars, "character_column", lambda *args: asked.append(args[1:]) or real(*args))
+        t = character_table(g, 0)
+        assert asked == [] and t.values == ((1,),)
+        t = character_table(g, 1)
+        assert asked == [(0, ((),) * g.k)]
+        want = tuple(tuple(mn_character(g, lam, mu) for mu in t.col_labels) for lam in t.row_labels)
+        assert t.values == want
+        assert _step_tables.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("name, n", [("Z2", 8), ("S3", 5)])
+    def test_pool_chunks_split_a_batch(self, name, n):
+        # the pool's chunks of sub-columns do not follow the batches of
+        # one longest part, so a chunk ends inside some batch
+        g = builtin(name)
+        labels = multipartitions_of(n, g.k)
+        subs = oracles.top_sub_classes([labels[c] for c in centre_orbit_reps(g, n)])
+        chunk = max(1, len(subs) // (4 * 2))
+        assert any(subs[i - 1][0] == subs[i][0] for i in range(chunk, len(subs), chunk))
+        assert character_table(g, n, workers=2).values == character_table(g, n, workers=1).values
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_columns_of_mixed_totals_in_input_order(self, workers):
+        labels = [MultiPartition(mu) for mu in (((2, 1), (1,)), ((), ()), ((1,), ()), ((3, 3), (2,)), ((), (2,)))]
+        want = [character_column(Z2, mu.total, mu) for mu in labels]
+        assert list(wreath_chars._columns(Z2, labels, workers)) == want
         assert _step_tables.cache_info().currsize == 0
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -538,24 +594,33 @@ class TestCentre:
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_one_column_per_centre_orbit(self, monkeypatch, name):
+        # the table computes the least column of each centre orbit, each
+        # from the sub-column left when its longest part is peeled: every
+        # distinct sub-class once, in order of that part
         g = builtin(name)
         real = wreath_chars.character_column
         asked = []
-        monkeypatch.setattr(wreath_chars, "character_column", lambda *args: asked.append(args[2]) or real(*args))
+        monkeypatch.setattr(wreath_chars, "character_column", lambda *args: asked.append(args[1:]) or real(*args))
         n = 4 if g.k < 4 else 3
-        character_table(g, n)
+        t = character_table(g, n)
         labels = multipartitions_of(n, g.k)
-        assert asked == [labels[c] for c in centre_orbit_reps(g, n)]
+        computed = [labels[c] for c in centre_orbit_reps(g, n)]
+        assert asked == oracles.top_sub_classes(computed)
+        assert len(asked) <= len(computed)  # equal at k = 1, where peeling the top part is one-to-one
+        assert {len(row) for row in t._by_rep} == {len(computed)}
         if len(wreath_chars._centre(g)) == 1:  # no centre: every column is computed
-            assert len(asked) == len(labels)
+            assert len(computed) == len(labels)
 
     def test_z2_n10_computes_282_of_481_columns(self, monkeypatch):
+        # the 282 computed columns come from 200 sub-columns
         real = wreath_chars.character_column
         calls = []
-        monkeypatch.setattr(wreath_chars, "character_column", lambda *args: calls.append(1) or real(*args))
+        monkeypatch.setattr(wreath_chars, "character_column", lambda *args: calls.append(args[1:]) or real(*args))
         t = character_table(Z2, 10)
-        assert (len(calls), len(t.col_labels)) == (282, 481)
-        assert len(centre_orbit_reps(Z2, 10)) == 282
+        computed = [t.col_labels[c] for c in centre_orbit_reps(Z2, 10)]
+        assert (len(calls), len(computed), len(t.col_labels)) == (200, 282, 481)
+        assert calls == oracles.top_sub_classes(computed)
+        assert {len(row) for row in t._by_rep} == {282}
 
 
 class TestCharacterColumn:
@@ -634,7 +699,7 @@ class TestCharacterColumn:
             labels = mps(n, g.k)
             for mu in labels:
                 assert character_column(g, n, mu) == [mn_character(g, lam, mu) for lam in labels]
-            levels = _step_tables(n, g.table)  # the columns' own levels, not a new dict
+            levels = _step_tables(g.table)  # the columns' own levels, not a new dict
             assert _step_tables.cache_info().currsize == 1
             assert n in levels and all(isinstance(level, _Level) for level in levels.values())
 
