@@ -7,13 +7,10 @@ worker count and evaluation order.  Sampled and certificate censuses draw
 identical (lambda, mu) streams for equal (n, seed), which makes seed-paired
 soundness comparisons exact.
 
-The exact census counts on the table as ``character_table`` returns it, its
-quotient by the table's symmetries: the representative row of each orbit of
-the linear characters (``wreath_chars._Level``) on the least column of each
-orbit of the centre.  Every row of an orbit is +-1 times its representative
-and every column of a centre orbit +-1 times its least column, so each cell
-of that block is weighted by the sizes of its two orbits, and no row of the
-table is built.
+The exact census counts on the table's quotient, as ``character_table``
+returns it: the representative rows (``wreath_chars._Level``) on the least
+column of each orbit of the centre, each cell weighted by the sizes of its
+two orbits (``wreath_chars._weighted_block``), and no row is built.
 
 Every sampled census, type D included, is one call to ``_sampled_census``,
 which checks its inputs, counts its hits and builds its report.
@@ -31,7 +28,6 @@ import math
 import operator
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
 from numbers import Real
 from statistics import NormalDist
 from typing import NamedTuple, Optional
@@ -48,7 +44,7 @@ from .partitions import (
     unrank_multipartition,
 )
 from .wreath_chars import DEFAULT_CELL_BUDGET, character_table, mn_character
-from .wreath_chars import _csv_text, _divisible_cells, _pool_map
+from .wreath_chars import _csv_text, _divisible_cells, _pool_map, _weighted_block
 
 HR_COEFF = 2.0 * math.pi / math.sqrt(6.0)
 DEFAULT_CONFIDENCE = 0.99
@@ -205,14 +201,7 @@ def exact_census(
     workers: int = 1,
 ) -> CensusReport:
     """Count the entries of the full table divisible by p (exact rational)
-    on the table's quotient, one cell per row orbit and centre orbit.
-
-    A row of an orbit under the linear characters is Theta chi^rep with
-    Theta = +-1, and a column of a centre orbit is +-1 times its least
-    column, so a cell of the block ``character_table`` computes has the
-    residue of every cell it stands for: the count weights it by
-    |row orbit| * |centre orbit| and builds no row and no class size.
-    """
+    on the table's quotient: no row and no class size is built."""
     require_prime(p)
     table = character_table(group, n, cell_budget=cell_budget, workers=workers)
     return CensusReport(
@@ -221,13 +210,8 @@ def exact_census(
         n=n,
         p=p,
         cells_evaluated=len(table.row_labels) ** 2,
-        divisible_count=_divisible_cells(table, p),
+        divisible_count=_divisible_cells(*_weighted_block(table), p),
     )
-
-
-def _zeros_mod(values, p: int) -> int:
-    """How many of values p divides, counted in C."""
-    return list(map(operator.mod, values, repeat(p))).count(0)
 
 
 def _draw_pair(n: int, k: int, seed: int, index: int):

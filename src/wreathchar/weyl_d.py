@@ -31,8 +31,8 @@ from .partitions import (
     multipartitions_of,
 )
 from .stats import DEFAULT_CONFIDENCE, CensusReport, CounterStream, random_multipartition
-from .stats import _divisible, _sampled_census, _zeros_mod
-from .wreath_chars import DEFAULT_CELL_BUDGET, CellBudgetExceeded, _columns
+from .stats import _divisible, _sampled_census
+from .wreath_chars import DEFAULT_CELL_BUDGET, CellBudgetExceeded, _divisible_cells, _orbit_columns
 
 
 def bn_class_in_dn(mu: MultiPartition) -> bool:
@@ -95,12 +95,7 @@ def dn_half_classes_property(n: int) -> Fraction:
 def nonsplit_rows(n: int) -> list[MultiPartition]:
     """One representative per unordered pair {lambda, mu}, lambda != mu: the
     lexicographically smaller of the two orderings."""
-    rows = []
-    for mp in multipartitions_of(n, 2):
-        swapped = (mp[1], mp[0])
-        if mp < swapped:
-            rows.append(mp)
-    return rows
+    return [mp for mp in multipartitions_of(n, 2) if mp[0] < mp[1]]
 
 
 def _sub_table(n: int) -> tuple[int, Fraction]:
@@ -138,12 +133,13 @@ def dn_restricted_census(
 
     exact: every (nonsplit row, D_N column) cell via the column recursion,
     one column per mod-p canonical label weighted by the D_N columns that
-    mash to it.  sampled: uniform cells, rows by rejection on ordered pairs
-    (reject the diagonal), columns by rejection on psi = 1, each cell
-    decided at its canonical label; needs samples and seed, which exact mode
-    refuses.  At p = 2 a canonical label can fall outside D_N; its B_N values
-    are still congruent to those of the D_N column, which is all the census
-    reads.
+    mash to it, read only on the representative rows of the orbits of the
+    linear characters, each weighted by the nonsplit rows of its orbit.
+    sampled: uniform cells, rows by rejection on ordered pairs (reject the
+    diagonal), columns by rejection on psi = 1, each cell decided at its
+    canonical label; needs samples and seed, which exact mode refuses.  At
+    p = 2 a canonical label can fall outside D_N; its B_N values are still
+    congruent to those of the D_N column, which is all the census reads.
     """
     require_prime(p)
     _check_int("n", n, 1)
@@ -169,17 +165,12 @@ def dn_restricted_census(
     # the budget is checked on the counts, before any label is enumerated
     if cells > cell_budget:
         raise CellBudgetExceeded(f"sub-table needs {cells} cells, budget is {cell_budget}")
-    dn_cols = [mp for mp in multipartitions_of(n, 2) if len(mp[1]) % 2 == 0]
-    rows = nonsplit_rows(n)
-    # D_N columns with one canonical label are congruent mod p, so each
-    # canonical column is computed once and its row hits counted once per
-    # D_N column mapping to it
-    weights = Counter(_canonical(mu, p) for mu in dn_cols)
-    position = {lam: i for i, lam in enumerate(multipartitions_of(n, 2))}
-    row_positions = [position[lam] for lam in rows]
-    hits = 0
-    for col, weight in zip(_columns(group, list(weights)), weights.values()):
-        hits += weight * _zeros_mod(map(col.__getitem__, row_positions), p)
+    # D_N columns with one canonical label are congruent mod p, and a row is
+    # +-1 times its orbit's representative, so each cell read stands for
+    # (D_N columns mashing to its column) * (nonsplit rows in its orbit)
+    weights = Counter(_canonical(mu, p) for mu in multipartitions_of(n, 2) if len(mu[1]) % 2 == 0)
+    rows, columns = _orbit_columns(group, n, list(weights), nonsplit_rows(n))
+    hits = _divisible_cells(weights.values(), rows, columns, p)
     return CensusReport(
         mode="dn-exact",
         group="D",

@@ -193,6 +193,44 @@ class TestRestrictedCensus:
             dn_restricted_census(10, 3, mode="exact")
         assert _step_tables.cache_info().currsize == 0
 
+    def test_exact_drops_step_tables_when_the_first_column_fails(self, monkeypatch):
+        levels = _step_tables(Z2.table)
+
+        def fail(*args):
+            raise RuntimeError("column failed")
+
+        monkeypatch.setattr(wreath_chars, "character_column", fail)
+        with pytest.raises(RuntimeError, match="column failed"):
+            dn_restricted_census(8, 3, mode="exact")
+        assert levels == {} and _step_tables.cache_info().currsize == 0
+
+    def test_exact_drops_step_tables_when_it_fails_before_any_column(self, monkeypatch):
+        levels = _step_tables(Z2.table)
+        built = []
+
+        def fail(group, labels, workers=1):
+            built.append(sorted(levels))
+            raise RuntimeError("no columns")
+
+        monkeypatch.setattr(wreath_chars, "_columns", fail)
+        with pytest.raises(RuntimeError, match="no columns"):
+            dn_restricted_census(8, 3, mode="exact")
+        assert built == [[8]]  # level n was built, and no column was read
+        assert levels == {} and _step_tables.cache_info().currsize == 0
+
+    def test_exact_orbit_weights_count_the_nonsplit_rows(self, monkeypatch):
+        real = weyl_d._divisible_cells
+        inner = []
+
+        def spy(outer, rows, vectors, p):
+            inner.append(rows)
+            return real(outer, rows, vectors, p)
+
+        monkeypatch.setattr(weyl_d, "_divisible_cells", spy)
+        for n in range(1, 13):
+            dn_restricted_census(n, 2, mode="exact")
+            assert sum(inner.pop()) == dn_irrep_census(n).nonsplit, n
+
     @pytest.mark.parametrize("name", ["samples", "seed"])
     def test_exact_rejects_sampling_arguments(self, monkeypatch, name):
         # refused by name before anything is counted, not silently ignored

@@ -18,7 +18,6 @@ from wreathchar.partitions import (
     enumerate_multipartitions,
     multipartitions_of,
 )
-from wreathchar.stats import _zeros_mod
 from wreathchar.wreath_chars import (
     CellBudgetExceeded,
     character_column,
@@ -31,8 +30,10 @@ from wreathchar.wreath_chars import (
     perm_character,
     perm_multiplicity,
     _Level,
+    _divisible_cells,
     _level,
     _mn_beads,
+    _orbit_columns,
     _peel_step,
     _step_tables,
 )
@@ -46,6 +47,10 @@ S3 = builtin("S3")
 
 def mps(n, k):
     return [MultiPartition(t) for t in multipartitions_of(n, k)]
+
+
+def _zeros_mod(values, p):
+    return sum(v % p == 0 for v in values)
 
 
 class TestClassSizes:
@@ -621,6 +626,54 @@ class TestCentre:
         assert (len(calls), len(computed), len(t.col_labels)) == (200, 282, 481)
         assert calls == oracles.top_sub_classes(computed)
         assert {len(row) for row in t._by_rep} == {282}
+
+
+class TestDivisibleCells:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_matches_a_double_loop(self, p):
+        # zero weights on either side, negative values, empty blocks, then
+        # random blocks
+        vectors = [(-p, 0, 1), (p * p, -1, -2 * p)]
+        cases = [
+            ([0, 0], [1, 1, 1], vectors),
+            ([1, 1], [0, 0, 0], vectors),
+            ([2, 0], [3, 5, 7], vectors),
+            ([0, 4], [3, 0, 7], vectors),
+            ([], [1], []),
+            ([3], [], [()]),
+        ]
+        rng = random.Random(p)
+        for _ in range(200):
+            height, width = rng.randrange(5), rng.randrange(6)
+            outer = [rng.randrange(4) for _ in range(height)]
+            inner = [rng.randrange(4) for _ in range(width)]
+            cases.append((outer, inner, [tuple(rng.randint(-3 * p, 3 * p) for _ in inner) for _ in outer]))
+        for outer, inner, vectors in cases:
+            want = 0
+            for i in range(len(outer)):
+                for j in range(len(inner)):
+                    if vectors[i][j] % p == 0:
+                        want += outer[i] * inner[j]
+            # outer and vectors are read once, as the censuses stream them
+            assert _divisible_cells(iter(outer), inner, iter(vectors), p) == want, (outer, inner, vectors)
+
+    @pytest.mark.parametrize("name", ["Z2", "S3"])
+    def test_orbit_columns_read_the_representatives(self, name):
+        g = builtin(name)
+        for n in range(7):
+            labels = mps(n, g.k)
+            rows = labels[::3]
+            counts, columns = _orbit_columns(g, n, labels, rows)
+            got = list(map(list, columns))
+            assert _step_tables.cache_info().currsize == 0
+            level = _level({}, n, g)
+            want = []
+            for mu in labels:
+                column = character_column(g, n, mu)
+                want.append([column[rep] for rep in level.reps])
+            assert got == want, n
+            assert counts == [sum(labels[row] in rows for row in orbit) for orbit in level.orbits]
+            assert sum(counts) == len(rows)
 
 
 class TestCharacterColumn:
