@@ -6,12 +6,13 @@ formula consumes class labels, centralizer orders, and character values.
 Integer-valuedness is a hard requirement; the mod-p machinery depends on it.
 The group-theoretic rationality criterion (sigma conjugate to sigma^j for j
 prime to its order) cannot be checked from class data alone and is not
-attempted; validation covers integrality and orthogonality.
+attempted; validation covers integrality, orthogonality and engine symmetries.
 """
 
 from __future__ import annotations
 
 import json
+from operator import mul
 from typing import NamedTuple
 
 
@@ -115,6 +116,21 @@ def validate(g: GroupData) -> ValidationReport:
             want = g.centralizer_orders[i] if i == j else 0
             if inner != want:
                 rep.add(f"column orthogonality fails for classes ({i},{j}): got {inner}, want {want}")
+    if not rep.ok:
+        return rep
+    # the engine's symmetries: a linear character times a character is one,
+    # and a central z has psi_q(z) = +-deg_q, signs that map columns to columns
+    rows, columns, degrees = set(g.table), set(zip(*g.table)), g.degrees()
+    for r in (r for r, d in enumerate(degrees) if d == 1):
+        bad = [s for s, row in enumerate(g.table) if tuple(map(mul, g.table[r], row)) not in rows]
+        if bad:
+            rep.add(f"linear character {r} times character {bad[0]} is not a character of the table")
+    for z in (z for z, c in enumerate(g.centralizer_orders) if c == order):
+        omega = [row[z] // d for row, d in zip(g.table, degrees)]
+        if any(abs(row[z]) != d for row, d in zip(g.table, degrees)):
+            rep.add(f"central class {z} has a value other than +-degree")
+        elif any(tuple(map(mul, omega, col)) not in columns for col in columns):
+            rep.add(f"central class {z} takes some column to one that is not a column of the table")
     return rep
 
 

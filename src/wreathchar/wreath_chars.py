@@ -12,14 +12,14 @@ over indexed peel steps (``character_column``).  The column kernel pulls
 each step only on one representative per orbit of the linear characters
 Theta = (theta wr 1) sgn^e, since chi^lambda Theta is again irreducible,
 and fills in every other row by the sign Theta takes on the class peeled so
-far.  Its state is one ``_Level`` per level m for the latest table, shared
-by columns of every total: the index of the multipartitions of m, their
-orbits and the peel steps built on the representatives.  ``_columns`` is the
-one column loop: it maps ``character_column`` over a process pool
-(``_pool_map``, also the sampled censuses' pool), each label at its own
-total, and owns those levels, which it drops when its columns are done or
-one fails.  ``_pool_map`` imports ``concurrent.futures`` only when it starts
-two or more processes, so a serial run never loads the pool machinery.
+far.  Its state, one ``_Level`` per level m (the index of the multipartitions
+of m, their orbits and the peel steps on the representatives), is a dict
+that the call building it owns; the module keeps none.  ``_columns`` is the
+one column loop, each label at its own total: serially on the caller's
+levels, or in contiguous runs over a process pool (``_pool_map``, also the
+sampled censuses' pool), each run on levels of its own.  ``_pool_map``
+imports ``concurrent.futures`` only when it starts two or more processes,
+so a serial run never loads the pool machinery.
 ``character_table`` uses two more symmetries.  A central z of G makes the
 diagonal (z, ..., z) central, and it multiplies column mu by +-1 on every
 row and takes it to column z mu, so only the least label of each orbit of
@@ -168,17 +168,6 @@ def mn_character(group: GroupData, lam: MultiPartition, mu: MultiPartition) -> i
     return _mn_value(group.table, lam, mu)
 
 
-# The column kernel's state for the latest table: one _Level per level m,
-# built on first use.  A level never depends on the n of the column that
-# asks for it, and a peel step depends on its level and length, never on the
-# column, so a full table builds each step once and every column of every
-# total reuses it.  Only the latest table is kept, and _columns drops it once
-# its columns are in or one of them fails.
-@lru_cache(maxsize=1)
-def _step_tables(table: tuple) -> dict:
-    return {}
-
-
 _FLIP = str.maketrans("01", "10")
 
 
@@ -318,7 +307,7 @@ def _peel_step(levels: dict, remaining: int, length: int, group: GroupData) -> t
     return step
 
 
-def character_column(group: GroupData, n: int, mu: MultiPartition) -> list[int]:
+def character_column(group: GroupData, n: int, mu: MultiPartition, *, levels: dict | None = None) -> list[int]:
     """chi^lambda_mu for every lambda of n at once (same recurrence, run
     bottom-up over the flattened sequence), as a list aligned with
     ``multipartitions_of(n, group.k)``.
@@ -327,6 +316,9 @@ def character_column(group: GroupData, n: int, mu: MultiPartition) -> list[int]:
     linear characters (``_Level``) and filled in on the other rows by sign:
     at the partial class nu peeled so far, each row's value is its
     representative's times Theta(nu) = +-1.
+
+    levels holds group's ``_Level`` of each m, shared by one table's columns of
+    every total; without it a call builds its own and keeps nothing.
 
     Raises ValueError unless n is an integer >= 0 and mu is a label (or its
     part tuples) of the table: group.k components that sum to n.
@@ -337,7 +329,7 @@ def character_column(group: GroupData, n: int, mu: MultiPartition) -> list[int]:
     if mu.total != n:
         raise ValueError(f"class label {mu} does not have total {n}")
     table = group.table
-    levels = _step_tables(table)
+    levels = {} if levels is None else levels
     values = [1]  # the one multipartition of 0
     remaining = 0
     odd = [0] * k  # the parity of each component's length in nu
@@ -358,12 +350,15 @@ def character_column(group: GroupData, n: int, mu: MultiPartition) -> list[int]:
     return list(values)
 
 
+def _procs(workers: int, items: int) -> int:
+    # a pool starts all its processes at once: no more than items or CPUs
+    return min(workers, items, os.cpu_count() or 1)
+
+
 def _pool_map(fn, items, workers: int):
     """fn over items, yielded in input order: serially, or through a process
-    pool that hands out contiguous chunks (fn and items must pickle).  The
-    pool starts all its processes at once, so it gets no more than there are
-    items or CPUs."""
-    procs = min(workers, len(items), os.cpu_count() or 1)
+    pool that hands out contiguous chunks (fn and items must pickle)."""
+    procs = _procs(workers, len(items))
     if procs < 2:
         yield from map(fn, items)
         return
@@ -374,26 +369,23 @@ def _pool_map(fn, items, workers: int):
         yield from pool.map(fn, items, chunksize=max(1, len(items) // (4 * procs)))
 
 
-def _column(group: GroupData, mu: MultiPartition) -> list[int]:
-    """character_column at mu's own total (a module function, so that the
-    pool can pickle it)."""
-    return character_column(group, mu.total, mu)
+def _column_run(group: GroupData, run: list) -> list[list[int]]:
+    """The columns of run, serially on levels of its own (pickled by the pool)."""
+    return list(_columns(group, run, {}))
 
 
-def _drop_step_tables(levels: dict) -> None:
-    """Empty levels, the level state, and forget it, so that no reference
-    left to the dict keeps the levels alive."""
-    levels.clear()
-    _step_tables.cache_clear()
-
-
-def _columns(group: GroupData, labels, workers: int = 1):
-    """character_column(group, mu.total, mu) for each label mu, in order; the
-    level state is dropped once the columns are in or one fails."""
-    try:
-        yield from _pool_map(partial(_column, group), labels, workers)
-    finally:
-        _drop_step_tables(_step_tables(group.table))
+def _columns(group: GroupData, labels: list, levels: dict, workers: int = 1):
+    """character_column(group, mu.total, mu) for each label mu, in order:
+    serially on levels, or in the pool's chunks, each on levels of its own."""
+    procs = _procs(workers, len(labels))
+    if procs < 2:
+        for mu in labels:
+            yield character_column(group, mu.total, mu, levels=levels)
+        return
+    size = max(1, len(labels) // (4 * procs))
+    runs = [labels[i : i + size] for i in range(0, len(labels), size)]
+    for run in _pool_map(partial(_column_run, group), runs, procs):
+        yield from run
 
 
 # ---------------------------------------------------------------------------
@@ -730,19 +722,14 @@ def _weighted_block(table: CharTable) -> tuple:
 def _orbit_columns(group: GroupData, n: int, labels: list, rows) -> tuple:
     """How many of rows (labels of n) each orbit of level n holds, and an
     iterator over character_column(group, n, mu) for each mu of labels, read
-    on level n's representatives.  Level n is built into the shared level
-    state first, for the columns to reuse; ``_columns`` drops the state once
-    they are in or one fails, and this does if the level or counts fail."""
-    levels = _step_tables(group.table)
-    try:
-        level = _level(levels, n, group)
-        kept = set(rows)
-        names = multipartitions_of(n, group.k)
-        counts = [sum(names[row] in kept for row in orbit) for orbit in level.orbits]
-        return counts, map(_gather(level.reps), _columns(group, labels))
-    except BaseException:
-        _drop_step_tables(levels)
-        raise
+    on level n's representatives.  Level n is built first, into the levels
+    that the columns share; the iterator holds them until it is dropped."""
+    levels: dict = {}
+    level = _level(levels, n, group)
+    kept = set(rows)
+    names = multipartitions_of(n, group.k)
+    counts = [sum(names[row] in kept for row in orbit) for orbit in level.orbits]
+    return counts, map(_gather(level.reps), _columns(group, labels, levels))
 
 
 def character_table(
@@ -777,16 +764,12 @@ def character_table(
             f"table needs {size}^2 = {size * size} cells, budget is {cell_budget}"
         )
     labels = multipartitions_of(n, group.k)
-    # the serial sub-columns build their levels into the same state
-    levels = _step_tables(group.table)
-    try:
-        centre = _centre(group)
-        twins = _twins(centre, labels)
-        computed = [labels[c] for c, (source, _) in enumerate(twins) if source == c]
-        level = _level(levels, n, group)
-        by_rep = _top_steps(group, levels, computed, workers) if n else [(1,)]
-    finally:
-        _drop_step_tables(levels)
+    centre = _centre(group)
+    twins = _twins(centre, labels)
+    computed = [labels[c] for c, (source, _) in enumerate(twins) if source == c]
+    levels: dict = {}  # shared by the top steps and the serial sub-columns
+    level = _level(levels, n, group)
+    by_rep = _top_steps(group, levels, computed, workers) if n else [(1,)]
     # the rows are built once the peel steps and fill getters are gone, level
     # n's too, so the peak memory holds one or the other
     level.steps.clear()
@@ -817,7 +800,7 @@ def _top_steps(group: GroupData, levels: dict, computed: list, workers: int) -> 
     order = sorted(batches)
     rows: list[list] = [[] for _ in _level(levels, n, group).reps]
     placed = []  # the block position of each value of a row, in the order pulled
-    columns = _columns(group, [rest for length in order for rest in batches[length][0]], workers)
+    columns = _columns(group, [rest for length in order for rest in batches[length][0]], levels, workers)
     try:
         for length in order:
             subs, uses = batches[length]

@@ -347,8 +347,9 @@ def full_table_census(group, n, p):
 
 def unreduced_dn_census(n, primes):
     """Type-D exact census without the canonical-class reduction: one
-    ``character_column`` per D_N column, every (nonsplit row, D_N column)
-    cell read.  Returns ({p: divisible cells}, cells)."""
+    ``character_column`` per D_N column, all on one shared levels dict, every
+    (nonsplit row, D_N column) cell read.  Returns ({p: divisible cells},
+    cells)."""
     from wreathchar.base_group import builtin
     from wreathchar.partitions import multipartitions_of
     from wreathchar.wreath_chars import character_column
@@ -358,8 +359,9 @@ def unreduced_dn_census(n, primes):
     cols = [t for t in labels if len(t[1]) % 2 == 0]  # psi = 1
     hits = dict.fromkeys(primes, 0)
     z2 = builtin("Z2")
+    levels = {}
     for mu in cols:
-        col = dict(zip(labels, character_column(z2, n, mu)))
+        col = dict(zip(labels, character_column(z2, n, mu, levels=levels)))
         for lam in rows:
             value = col[lam]
             for p in primes:
@@ -489,3 +491,29 @@ def reference_csv(table):
         for mu, v in zip(table.col_labels, row):
             writer.writerow([encode(lab), encode(mu), str(v)])
     return buf.getvalue()
+
+
+def paley_12_document():
+    """A group document that passes orthogonality but is no group's table:
+    the Paley Hadamard matrix of order 12 (quadratic residues mod 11),
+    normalized to a first row and column of ones, as a table of 12 linear
+    characters on 12 classes of centralizer 12.  A product of two of its
+    rows is not a row, as it would be for a group of order 12."""
+    q = 11
+    residues = {x * x % q for x in range(1, q)}
+
+    def legendre(a):
+        return 0 if a % q == 0 else 1 if a % q in residues else -1
+
+    h = [[1] * (q + 1)] + [[-1] + [legendre(j - i) + (i == j) for j in range(q)] for i in range(q)]
+    # the first row is all ones; negating the rows that start with -1 makes
+    # the first column all ones too
+    h = [[v * row[0] for v in row] for row in h]
+    return {
+        "name": "paley12",
+        "class_labels": [f"c{j}" for j in range(q + 1)],
+        "centralizer_orders": [q + 1] * (q + 1),
+        "identity_class": 0,
+        "trivial_char": 0,
+        "table": h,
+    }

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import oracles
 from wreathchar.base_group import (
     BUILTIN_NAMES,
     GroupData,
@@ -94,6 +95,23 @@ def test_validate_bad_centralizer():
         table=g.table,
     )
     assert not validate(broken).ok
+
+
+def test_paley_12_passes_orthogonality_but_not_the_symmetries():
+    # every row and column is +-1 and orthogonal, so only the checks of the
+    # engine's symmetries find it: no linear row times a row other than the
+    # trivial one is a row, and no central class but the identity takes the
+    # columns to columns
+    doc = oracles.paley_12_document()
+    table = doc["table"]
+    assert all(abs(v) == 1 for row in table for v in row) and table[0] == [1] * 12
+    assert all(sum(map(int.__mul__, r, s)) == 12 * (r is s) for r in table for s in table)
+    with pytest.raises(GroupValidationError) as exc:
+        load(doc)
+    problems = exc.value.problems
+    assert not any("orthogonality" in p for p in problems)
+    assert sum(p.startswith("linear character ") for p in problems) == 11
+    assert sum(p.startswith("central class ") for p in problems) == 11
 
 
 class TestIO:

@@ -1,15 +1,18 @@
 """Module state stays bounded over a long mixed sequence of engine calls.
 
-The column path keeps one ``_Level`` per level (index, orbits and peel
-steps) in ``_step_tables`` only while its columns run, and for the latest
-table only, one state for columns of every total; ``multipartitions_of``
-holds the latest (n, k),
-``kostka`` keeps its memo for one call, nothing on the engine's paths
-fills the ``_strip_removals`` cache of ``remove_rimhooks``, and that cache
-has a fixed bound.
+The column path keeps its levels (one ``_Level`` per level: index, orbits
+and peel steps) in a dict that belongs to the call that builds it, so no
+level outlives the column, table or census that asked for it, except level
+n of an unread table, which its rows need; ``multipartitions_of`` holds the
+latest (n, k), ``kostka`` keeps its memo for one call, nothing on the
+engine's paths fills the ``_strip_removals`` cache of ``remove_rimhooks``,
+and that cache has a fixed bound.
 """
 
+import gc
 import tracemalloc
+
+import pytest
 
 from wreathchar import wreath_chars
 from wreathchar.base_group import builtin
@@ -23,10 +26,9 @@ from wreathchar.partitions import (
 from wreathchar.stats import exact_census
 from wreathchar.weyl_d import dn_restricted_census
 from wreathchar.wreath_chars import (
-    _columns,
+    CharTable,
     _kostka_rec,
     _Level,
-    _step_tables,
     character_column,
     character_table,
     kostka,
@@ -49,46 +51,95 @@ def test_mixed_calls_leave_bounded_caches():
         for beta in shapes:
             for gamma in shapes:
                 kostka(beta, gamma)
-        assert _step_tables.cache_info().currsize == 0
+        assert _live_levels() == []
     assert multipartitions_of.cache_info().currsize <= 1
     assert _strip_removals.cache_info().misses == strips_before
     assert not hasattr(_kostka_rec, "cache_info")
 
 
-def test_orbits_of_the_latest_table_only():
-    # S4, D8 and Q8 all have k = 5: the same multipartitions of n = 3, three tables
-    n = 3
-    labels = multipartitions_of(n, 5)
-    for name in ("S4", "D8", "Q8", "S4"):
-        g = builtin(name)
-        for mu in labels[::7]:
-            character_column(g, n, mu)
-        assert _step_tables.cache_info().currsize == 1
-        levels = _step_tables(g.table)  # the columns' own levels, not a new dict
-        assert _step_tables.cache_info().currsize == 1
-        assert n in levels and set(levels) <= set(range(n + 1))
-        assert all(isinstance(level, _Level) for level in levels.values())
-    assert len(list(_columns(g, labels[:5]))) == 5
-    assert _step_tables.cache_info().currsize == 0
-
-
 def test_one_level_state_for_every_total():
     # a level never depends on the n of the column that asks for it, so
-    # columns of n = 6 and then n = 3 on one table fill one dict; the full
-    # table and both exact censuses empty it, as well as forget it
+    # columns of n = 6 and then n = 3 on one table fill one dict
     g = builtin("Z2")
-    for run in (
-        lambda: character_table(g, 6),
-        lambda: exact_census(g, 6, 2),
-        lambda: dn_restricted_census(6, 3, mode="exact"),
-    ):
-        character_column(g, 6, ((3, 1), (2,)))
-        levels = _step_tables(g.table)
-        character_column(g, 3, ((1,), (2,)))
-        assert _step_tables(g.table) is levels and _step_tables.cache_info().currsize == 1
-        assert 6 in levels and 3 in levels and set(levels) <= set(range(7))
-        run()
-        assert levels == {} and _step_tables.cache_info().currsize == 0
+    levels = {}
+    character_column(g, 6, ((3, 1), (2,)), levels=levels)
+    character_column(g, 3, ((1,), (2,)), levels=levels)
+    assert 6 in levels and 3 in levels and set(levels) <= set(range(7))
+    assert all(isinstance(level, _Level) for level in levels.values())
+
+
+def _live_levels(before=()):
+    """Every _Level the garbage collector reaches, other than those of before."""
+    gc.collect()
+    return [o for o in gc.get_objects() if type(o) is _Level and not any(o is b for b in before)]
+
+
+Z2 = builtin("Z2")
+RUNS = {
+    "character_column": lambda: character_column(Z2, 8, ((2, 1), (3, 1, 1))),
+    "character_table": lambda: character_table(Z2, 8),
+    "character_table-pool": lambda: character_table(Z2, 8, workers=2),
+    "exact_census": lambda: exact_census(Z2, 8, 2),
+    "dn_restricted_census": lambda: dn_restricted_census(8, 3, mode="exact"),
+}
+# a standalone column is one call, and the pool's columns run in other
+# processes, so neither has a second column to fail in this one
+CASES = [(run, fails) for fails in (None, "top step") for run in RUNS] + [
+    (run, "column") for run in RUNS if run not in ("character_column", "character_table-pool")
+]
+
+
+@pytest.mark.parametrize("run, fails", CASES)
+def test_no_level_outlives_its_call(monkeypatch, run, fails):
+    # the levels are the call's own: once it returns or raises, none is
+    # left but level n of an unread table, and reading the table frees it
+    before = _live_levels()
+    if fails == "column":
+        real_column, calls = wreath_chars.character_column, []
+
+        def column(*args, **kw):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("column failed")
+            return real_column(*args, **kw)
+
+        monkeypatch.setattr(wreath_chars, "character_column", column)
+    elif fails == "top step":
+        real_step = wreath_chars._peel_step
+
+        def step(levels, remaining, length, group):
+            # only the last step of a column of n = 8, a table's top step,
+            # peels from level 8: a table's sub-columns stop below it
+            if remaining == 8:
+                raise RuntimeError("top step failed")
+            return real_step(levels, remaining, length, group)
+
+        monkeypatch.setattr(wreath_chars, "_peel_step", step)
+    if fails:
+        with pytest.raises(RuntimeError, match=f"{fails} failed"):
+            RUNS[run]()
+        assert _live_levels(before) == []
+        return
+    result = RUNS[run]()
+    if isinstance(result, CharTable):
+        assert _live_levels(before) == [result._level]
+        result.values  # the rows are built on first read
+    assert _live_levels(before) == []
+
+
+def test_standalone_column_keeps_no_memory():
+    # the 1.8 MiB of levels that Z2 n = 14 builds are freed on return
+    g = builtin("Z2")
+    character_column(g, 2, ((1,), (1,)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        character_column(g, 14, ((), (1,) * 14))
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 16 * 2**10
 
 
 def test_exact_census_peak_memory():

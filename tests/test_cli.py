@@ -434,6 +434,21 @@ class TestGroupValidate:
         assert payload["ok"] is False
         assert any("orthogonality" in p for p in payload["problems"])
 
+    def test_paley_12_is_refused_before_the_engine(self, capsys, tmp_path):
+        # orthogonal, but not a group's table: validation names the problem
+        # and every command exits 4 instead of failing inside the engine
+        path = tmp_path / "paley12.json"
+        path.write_text(json.dumps(oracles.paley_12_document()))
+        code, out, _ = run(capsys, "group-validate", "--file", str(path))
+        assert code == EXIT_VALIDATION
+        payload = json.loads(out)
+        assert payload["ok"] is False
+        assert "linear character 1 times character 2 is not a character of the table" in payload["problems"]
+        for argv in (("table", "--n", "2"), ("census", "--n", "2", "--p", "2")):
+            code, out, err = run(capsys, *argv, "--group-file", str(path))
+            assert (code, out) == (EXIT_VALIDATION, "")
+            assert err.startswith("error: linear character 1 times character 2 is not a character of the table")
+
     def test_group_file_used_by_entry(self, capsys, tmp_path):
         path = tmp_path / "z2.json"
         path.write_text(json.dumps(store(builtin("Z2"))))

@@ -205,10 +205,10 @@ class TestExactCensus:
         real = wreath_chars.character_column
         asked = []
 
-        def column(*args):
+        def column(group, n, mu, **kw):
             calls.update(["character_column"])
-            asked.append(args[1:])
-            return real(*args)
+            asked.append((n, mu))
+            return real(group, n, mu, **kw)
 
         monkeypatch.setattr(wreath_chars, "character_column", column)
         for name in ("_rows", "class_size"):

@@ -4,7 +4,7 @@ import pytest
 
 from wreathchar.base_group import builtin
 from wreathchar.partitions import MultiPartition, count_partitions, multipartitions_of
-from wreathchar import weyl_d, wreath_chars
+from wreathchar import weyl_d
 from wreathchar.weyl_d import (
     _dn_column_count,
     bn_class_in_dn,
@@ -14,7 +14,7 @@ from wreathchar.weyl_d import (
     nonsplit_rows,
     psi_value,
 )
-from wreathchar.wreath_chars import _step_tables, character_table
+from wreathchar.wreath_chars import character_table
 
 import oracles
 
@@ -175,48 +175,6 @@ class TestRestrictedCensus:
             for p in primes:
                 r = dn_restricted_census(n, p, mode="exact")
                 assert (r.divisible_count, r.cells_evaluated) == (hits[p], cells), (n, p)
-
-    def test_exact_drops_step_tables(self, monkeypatch):
-        dn_restricted_census(10, 3, mode="exact")
-        assert _step_tables.cache_info().currsize == 0
-        real = wreath_chars.character_column
-        calls = []
-
-        def fail_second(*args):
-            calls.append(args)
-            if len(calls) == 2:
-                raise RuntimeError("column failed")
-            return real(*args)
-
-        monkeypatch.setattr(wreath_chars, "character_column", fail_second)
-        with pytest.raises(RuntimeError, match="column failed"):
-            dn_restricted_census(10, 3, mode="exact")
-        assert _step_tables.cache_info().currsize == 0
-
-    def test_exact_drops_step_tables_when_the_first_column_fails(self, monkeypatch):
-        levels = _step_tables(Z2.table)
-
-        def fail(*args):
-            raise RuntimeError("column failed")
-
-        monkeypatch.setattr(wreath_chars, "character_column", fail)
-        with pytest.raises(RuntimeError, match="column failed"):
-            dn_restricted_census(8, 3, mode="exact")
-        assert levels == {} and _step_tables.cache_info().currsize == 0
-
-    def test_exact_drops_step_tables_when_it_fails_before_any_column(self, monkeypatch):
-        levels = _step_tables(Z2.table)
-        built = []
-
-        def fail(group, labels, workers=1):
-            built.append(sorted(levels))
-            raise RuntimeError("no columns")
-
-        monkeypatch.setattr(wreath_chars, "_columns", fail)
-        with pytest.raises(RuntimeError, match="no columns"):
-            dn_restricted_census(8, 3, mode="exact")
-        assert built == [[8]]  # level n was built, and no column was read
-        assert levels == {} and _step_tables.cache_info().currsize == 0
 
     def test_exact_orbit_weights_count_the_nonsplit_rows(self, monkeypatch):
         real = weyl_d._divisible_cells

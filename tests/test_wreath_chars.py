@@ -35,7 +35,6 @@ from wreathchar.wreath_chars import (
     _mn_beads,
     _orbit_columns,
     _peel_step,
-    _step_tables,
 )
 
 import oracles
@@ -51,6 +50,19 @@ def mps(n, k):
 
 def _zeros_mod(values, p):
     return sum(v % p == 0 for v in values)
+
+
+def spy_columns(monkeypatch):
+    """The (n, mu) of each character_column call, in order, as they come."""
+    real = wreath_chars.character_column
+    asked = []
+
+    def spy(group, n, mu, **kw):
+        asked.append((n, mu))
+        return real(group, n, mu, **kw)
+
+    monkeypatch.setattr(wreath_chars, "character_column", spy)
+    return asked
 
 
 class TestClassSizes:
@@ -379,83 +391,18 @@ class TestCharacterTable:
         b = character_table(Z2, 6, workers=2)
         assert a.values == b.values
 
-    def test_step_tables_dropped(self):
-        for workers in (1, 2):
-            character_table(S3, 3, workers=workers)
-            assert _step_tables.cache_info().currsize == 0
-
-    def test_step_tables_dropped_when_a_column_fails(self, monkeypatch):
-        levels = _step_tables(Z2.table)
-        real = wreath_chars.character_column
-        calls = []
-
-        def fail_second(*args):
-            calls.append(args)
-            if len(calls) == 2:
-                raise RuntimeError("column failed")
-            return real(*args)
-
-        monkeypatch.setattr(wreath_chars, "character_column", fail_second)
-        with pytest.raises(RuntimeError, match="column failed"):
-            character_table(Z2, 4)
-        assert len(calls) == 2
-        assert levels == {} and _step_tables.cache_info().currsize == 0
-
-    @pytest.mark.parametrize("stage", ["_centre", "character_column", "_rows"])
-    def test_step_tables_dropped_when_a_stage_fails(self, monkeypatch, stage):
-        # the levels a standalone column left behind go too
-        character_column(Z2, 4, ((1,) * 4, ()))
-        assert _step_tables.cache_info().currsize == 1
-        real = getattr(wreath_chars, stage)
-        calls = []
-
-        def fail_second(*args):
-            calls.append(args)
-            if len(calls) == (2 if stage == "character_column" else 1):
-                raise RuntimeError(f"{stage} failed")
-            return real(*args)
-
-        monkeypatch.setattr(wreath_chars, stage, fail_second)
-        with pytest.raises(RuntimeError, match=f"{stage} failed"):
-            character_table(Z2, 4).values  # the rows are built on first read
-        assert _step_tables.cache_info().currsize == 0
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_step_tables_dropped_when_a_top_step_fails(self, monkeypatch, workers):
-        # the sub-columns stop below level n, so only a top step peels from n
-        levels = _step_tables(Z2.table)
-        character_column(Z2, 4, ((1,) * 4, ()))
-        real = wreath_chars._peel_step
-        tops = []
-
-        def fail_second_top(levels, remaining, length, group):
-            if remaining == 5:
-                tops.append(length)
-                if len(tops) == 2:
-                    raise RuntimeError("top step failed")
-            return real(levels, remaining, length, group)
-
-        monkeypatch.setattr(wreath_chars, "_peel_step", fail_second_top)
-        with pytest.raises(RuntimeError, match="top step failed"):
-            character_table(Z2, 5, workers=workers)
-        assert tops == [1, 2]
-        assert levels == {} and _step_tables.cache_info().currsize == 0
-
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_n0_and_n1(self, monkeypatch, name):
         # n = 0 has no top part to peel and computes no column; at n = 1
         # every sub-column is the one column of n = 0
         g = builtin(name)
-        real = wreath_chars.character_column
-        asked = []
-        monkeypatch.setattr(wreath_chars, "character_column", lambda *args: asked.append(args[1:]) or real(*args))
+        asked = spy_columns(monkeypatch)
         t = character_table(g, 0)
         assert asked == [] and t.values == ((1,),)
         t = character_table(g, 1)
         assert asked == [(0, ((),) * g.k)]
         want = tuple(tuple(mn_character(g, lam, mu) for mu in t.col_labels) for lam in t.row_labels)
         assert t.values == want
-        assert _step_tables.cache_info().currsize == 0
 
     @pytest.mark.parametrize("name, n", [("Z2", 8), ("S3", 5)])
     def test_pool_chunks_split_a_batch(self, name, n):
@@ -472,8 +419,7 @@ class TestCharacterTable:
     def test_columns_of_mixed_totals_in_input_order(self, workers):
         labels = [MultiPartition(mu) for mu in (((2, 1), (1,)), ((), ()), ((1,), ()), ((3, 3), (2,)), ((), (2,)))]
         want = [character_column(Z2, mu.total, mu) for mu in labels]
-        assert list(wreath_chars._columns(Z2, labels, workers)) == want
-        assert _step_tables.cache_info().currsize == 0
+        assert list(wreath_chars._columns(Z2, labels, {}, workers)) == want
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -603,9 +549,7 @@ class TestCentre:
         # from the sub-column left when its longest part is peeled: every
         # distinct sub-class once, in order of that part
         g = builtin(name)
-        real = wreath_chars.character_column
-        asked = []
-        monkeypatch.setattr(wreath_chars, "character_column", lambda *args: asked.append(args[1:]) or real(*args))
+        asked = spy_columns(monkeypatch)
         n = 4 if g.k < 4 else 3
         t = character_table(g, n)
         labels = multipartitions_of(n, g.k)
@@ -618,9 +562,7 @@ class TestCentre:
 
     def test_z2_n10_computes_282_of_481_columns(self, monkeypatch):
         # the 282 computed columns come from 200 sub-columns
-        real = wreath_chars.character_column
-        calls = []
-        monkeypatch.setattr(wreath_chars, "character_column", lambda *args: calls.append(args[1:]) or real(*args))
+        calls = spy_columns(monkeypatch)
         t = character_table(Z2, 10)
         computed = [t.col_labels[c] for c in centre_orbit_reps(Z2, 10)]
         assert (len(calls), len(computed), len(t.col_labels)) == (200, 282, 481)
@@ -665,7 +607,6 @@ class TestDivisibleCells:
             rows = labels[::3]
             counts, columns = _orbit_columns(g, n, labels, rows)
             got = list(map(list, columns))
-            assert _step_tables.cache_info().currsize == 0
             level = _level({}, n, g)
             want = []
             for mu in labels:
@@ -750,10 +691,9 @@ class TestCharacterColumn:
         n = 3
         for g in (builtin("S4"), builtin("D8"), load(json.dumps(doc))):
             labels = mps(n, g.k)
+            levels = {}  # one table's columns share its levels
             for mu in labels:
-                assert character_column(g, n, mu) == [mn_character(g, lam, mu) for lam in labels]
-            levels = _step_tables(g.table)  # the columns' own levels, not a new dict
-            assert _step_tables.cache_info().currsize == 1
+                assert character_column(g, n, mu, levels=levels) == [mn_character(g, lam, mu) for lam in labels]
             assert n in levels and all(isinstance(level, _Level) for level in levels.values())
 
     def test_rejects_wrong_total(self):
